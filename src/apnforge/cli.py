@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -35,21 +34,22 @@ from .compatibility import (
     find_compatible_c,
     reports_to_csv,
     reports_to_json,
+    rows_to_csv,
     sweep_reports,
     witnesses,
 )
 from .differential import (
     DDT_DEGREE_CAP,
     SPECTRUM_DEGREE_CAP,
+    SPOT_CHECK_SAMPLES,  # re-exported: the traced benchmark replay reads it from here
     CrossCheckError,
-    cross_check_spectrum,
+    check_degree,
     ddt,
     ddt_to_csv,
-    derivative_spectrum,
-    spectrum_report,
+    verify_instance,
 )
 from .field import FieldMismatchError, SizeLimitError, make_field
-from .hexanomial import BCParams, default_d, eval_derivative, eval_derivative_linear
+from .hexanomial import BCParams, default_d
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -57,7 +57,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 ENV_MODULUS_TABLE = "APNFORGE_MODULUS_TABLE"
-SPOT_CHECK_SAMPLES = 1000
+WITNESS_CSV_COLUMNS = ("witness_hex", "in_subfield_r", "in_unity_roots", "poly_value_hex")
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -128,7 +128,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _resolve_params(args: argparse.Namespace, cfg: RunConfig):
-    """(params, provenance dict) for verify, or (None, excluded-report)."""
+    """(params, provenance dict) for verify."""
     if getattr(args, "params", None):
         p = BCParams.from_dict(json.loads(Path(args.params).read_text()))
         return p, {"c_source": "params-file", "d_source": "params-file"}
@@ -154,7 +154,7 @@ def _resolve_params(args: argparse.Namespace, cfg: RunConfig):
         # Unreachable given the closed-form criterion (its failure modes
         # all force m | n); kept as a guard so a wrong predicate cannot
         # silently verify the wrong instance.
-        return None, {"status": "compatibility-excluded", "m": m, "n": n}
+        raise CrossCheckError(f"criterion excludes c for (m, n) = ({m}, {n}) with n % m != 0")
     if args.d is not None:
         d, d_source = fld.element_from_hex(args.d), "given"
     else:
@@ -165,37 +165,13 @@ def _resolve_params(args: argparse.Namespace, cfg: RunConfig):
     }
 
 
-def _spot_check(p: BCParams, seed: int) -> dict:
-    """Seeded agreement samples between the defining and linear forms."""
-    rng = random.Random(seed)
-    size = p.field.size
-    for _ in range(SPOT_CHECK_SAMPLES):
-        a = rng.randrange(1, size)
-        x = rng.randrange(size)
-        if eval_derivative(p, a, x) != eval_derivative_linear(p, a, x):
-            raise CrossCheckError(
-                f"defining and linear forms disagree at a={a:#x}, x={x:#x}"
-            )
-    return {"seed": seed, "samples": SPOT_CHECK_SAMPLES, "agree": True}
-
-
 def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     p, meta = _resolve_params(args, cfg)
-    if p is None:
-        doc = {"schema": 1, "kind": "verify", **meta}
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
-        return EXIT_USAGE
-    spec = derivative_spectrum(p, cfg.cap_spectrum)
-    cross_check_spectrum(p, spec)
-    report = spectrum_report(p, spec)
-    report.update(
-        {
-            "kind": "verify",
-            "status": "ok",
-            **meta,
-            "spot_check": _spot_check(p, cfg.seed),
-        }
-    )
+    if args.ddt_out is not None:
+        check_degree("ddt", p.field.w, cfg.cap_ddt)
+    _, report = verify_instance(p, cfg.cap_spectrum, cfg.seed)
+    spot = report.pop("spot_check")
+    report.update({"kind": "verify", "status": "ok", **meta, "spot_check": spot})
     _emit(json.dumps(report, indent=2) + "\n", cfg.out)
     if args.ddt_out is not None:
         Path(args.ddt_out).write_text(ddt_to_csv(ddt(p, cfg.cap_ddt)))
@@ -233,17 +209,7 @@ def _cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
         }
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        lines = ["witness_hex,in_subfield_r,in_unity_roots,poly_value_hex"]
-        lines += [
-            "{},{},{},{}".format(
-                r["witness_hex"],
-                str(r["in_subfield_r"]).lower(),
-                str(r["in_unity_roots"]).lower(),
-                r["poly_value_hex"],
-            )
-            for r in rows
-        ]
-        text = "\n".join(lines) + "\n"
+        text = rows_to_csv(WITNESS_CSV_COLUMNS, rows)
     _emit(text, cfg.out)
     return EXIT_OK if all_vanish else EXIT_CHECK_FAILED
 
@@ -255,15 +221,7 @@ def _cmd_bc_empirical(args: argparse.Namespace, cfg: RunConfig) -> int:
     for m in range(3, args.max_2m // 2 + 1):
         fld = make_field(2 * m, cfg.modulus_table.get(2 * m))
         rows.append(compat_report(m, 1, fld))
-    if cfg.fmt == "json":
-        doc = {
-            "schema": 1,
-            "kind": "bc-empirical",
-            "rows": [r.to_dict() for r in rows],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        text = reports_to_csv(rows)
+    text = reports_to_json(rows, "bc-empirical") if cfg.fmt == "json" else reports_to_csv(rows)
     _emit(text, cfg.out)
     return EXIT_OK if all(r.exists_c and r.consistent for r in rows) else EXIT_CHECK_FAILED
 

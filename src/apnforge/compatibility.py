@@ -229,26 +229,23 @@ def sweep_reports(
     return rows
 
 
-def reports_to_json(rows: Sequence[CompatReport]) -> str:
-    doc = {"schema": 1, "kind": "compatibility-sweep", "rows": [r.to_dict() for r in rows]}
+def reports_to_json(rows: Sequence[CompatReport], kind: str = "compatibility-sweep") -> str:
+    doc = {"schema": 1, "kind": kind, "rows": [r.to_dict() for r in rows]}
     return json.dumps(doc, indent=2) + "\n"
 
 
-def reports_to_csv(rows: Sequence[CompatReport]) -> str:
+def rows_to_csv(columns: Sequence[str], rows: Sequence[Mapping]) -> str:
+    """Header then one line per row; booleans as true/false, None as an empty cell."""
+
+    def cell(v):
+        return "" if v is None else str(v).lower() if isinstance(v, bool) else v
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COMPAT_CSV_COLUMNS)
-    for r in rows:
-        d = r.to_dict()
-        writer.writerow(
-            [
-                d["m"],
-                d["n"],
-                str(d["predicate"]).lower(),
-                str(d["exists_c"]).lower(),
-                d["found_c_hex"] or "",
-                d["modulus_hex"],
-                d["search_size"],
-            ]
-        )
+    writer.writerow(columns)
+    writer.writerows([cell(row[k]) for k in columns] for row in rows)
     return buf.getvalue()
+
+
+def reports_to_csv(rows: Sequence[CompatReport]) -> str:
+    return rows_to_csv(COMPAT_CSV_COLUMNS, [r.to_dict() for r in rows])

@@ -21,6 +21,8 @@ difference distribution table is O(4^w) memory and capped tighter
 from __future__ import annotations
 
 import functools
+import io
+import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
@@ -28,10 +30,17 @@ from typing import Mapping
 import numpy as np
 
 from .field import Field, SizeLimitError
-from .hexanomial import BCParams, derivative_coeffs, eval_hexanomial
+from .hexanomial import (
+    BCParams,
+    derivative_coeffs,
+    eval_derivative,
+    eval_derivative_linear,
+    eval_hexanomial,
+)
 
 SPECTRUM_DEGREE_CAP = 16
 DDT_DEGREE_CAP = 12
+SPOT_CHECK_SAMPLES = 1000
 
 
 class CrossCheckError(RuntimeError):
@@ -48,6 +57,11 @@ class DerivativeSpectrum:
     def fiber_sizes(self, a: int) -> set[int]:
         """Attained (nonzero) fiber sizes for shift a."""
         return {t for t in self.histograms[a] if t}
+
+    def uniform_fiber_size(self) -> int | None:
+        """The one fiber size attained at every shift, or None when sizes are mixed."""
+        sizes = {t for hist in self.histograms.values() for t in hist if t}
+        return sizes.pop() if len(sizes) == 1 else None
 
     def collapsed_summary(self) -> list[dict]:
         """Histogram shapes grouped over a: few lines even for big sweeps."""
@@ -73,11 +87,15 @@ def _ftab(p: BCParams) -> np.ndarray:
     return tab
 
 
+def check_degree(what: str, w: int, degree_cap: int) -> None:
+    """Refuse a job over F_{2^w} whose cap is below w."""
+    if w > degree_cap:
+        raise SizeLimitError(f"{what} for w={w} exceeds cap {degree_cap}")
+
+
 def derivative_spectrum(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP) -> DerivativeSpectrum:
     """Exhaustive fiber histograms of x -> F(x) + F(x+a) for every a != 0."""
-    w = p.field.w
-    if w > degree_cap:
-        raise SizeLimitError(f"spectrum for w={w} exceeds cap {degree_cap}")
+    check_degree("spectrum", p.field.w, degree_cap)
     size = p.field.size
     ftab = _ftab(p)
     xs = np.arange(size)
@@ -125,15 +143,6 @@ def derivative_table_linear(p: BCParams, a: int) -> np.ndarray:
     return acc
 
 
-def derivative_table(p: BCParams, a: int) -> np.ndarray:
-    """D_a at every x through the defining form F(ax) + F(ax+a) + F(a)."""
-    if a == 0:
-        raise ValueError("derivative shift a must be nonzero")
-    ftab = _ftab(p)
-    ax = _mul_const(p.field, a, np.arange(p.field.size))
-    return ftab[ax] ^ ftab[ax ^ a] ^ ftab[a]
-
-
 def kernel_sizes(p: BCParams) -> np.ndarray:
     """|ker D_a| for every a (index 0 unused); the kernel route."""
     size = p.field.size
@@ -164,31 +173,53 @@ def cross_check_spectrum(p: BCParams, spec: DerivativeSpectrum) -> None:
             )
 
 
-def is_t_to_one(
-    p: BCParams,
-    t: int,
-    degree_cap: int = SPECTRUM_DEGREE_CAP,
-    cross_check: bool = True,
-) -> bool:
+def _spot_check(p: BCParams, seed: int) -> dict:
+    """Seeded agreement samples between the defining and linear forms."""
+    rng = random.Random(seed)
+    size = p.field.size
+    for _ in range(SPOT_CHECK_SAMPLES):
+        a = rng.randrange(1, size)
+        x = rng.randrange(size)
+        if eval_derivative(p, a, x) != eval_derivative_linear(p, a, x):
+            raise CrossCheckError(
+                f"defining and linear forms disagree at a={a:#x}, x={x:#x}"
+            )
+    return {"seed": seed, "samples": SPOT_CHECK_SAMPLES, "agree": True}
+
+
+def verify_instance(
+    p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP, seed: int = 0
+) -> tuple[int | None, dict]:
+    """The whole exact check: (uniform fiber size or None, report with spot check).
+
+    The spectrum cap and the log/exp tables the kernel route runs on are
+    checked before any O(4^w) work.  Both routes and the spot check run;
+    any disagreement raises :class:`CrossCheckError` instead of a verdict.
+    """
+    check_degree("spectrum", p.field.w, degree_cap)
+    p.field.np_tables()
+    spec = derivative_spectrum(p, degree_cap)
+    cross_check_spectrum(p, spec)
+    report = spectrum_report(p, spec)
+    report["spot_check"] = _spot_check(p, seed)
+    return spec.uniform_fiber_size(), report
+
+
+def is_t_to_one(p: BCParams, t: int) -> bool:
     """Every nonzero-shift fiber has size exactly t (t a power of two)."""
     if t < 1 or t & (t - 1):
         raise ValueError(f"fiber size must be a power of two, got {t}")
-    spec = derivative_spectrum(p, degree_cap)
-    if cross_check:
-        cross_check_spectrum(p, spec)
-    return all(spec.fiber_sizes(a) == {t} for a in spec.histograms)
+    return verify_instance(p)[0] == t
 
 
-def is_apn(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP, cross_check: bool = True) -> bool:
+def is_apn(p: BCParams) -> bool:
     """Almost perfect nonlinear: every derivative is 2-to-one."""
-    return is_t_to_one(p, 2, degree_cap, cross_check)
+    return is_t_to_one(p, 2)
 
 
 def ddt(p: BCParams, degree_cap: int = DDT_DEGREE_CAP) -> np.ndarray:
     """Full difference distribution table; row a=0 is the conventional [2^w, 0, ...]."""
-    w = p.field.w
-    if w > degree_cap:
-        raise SizeLimitError(f"ddt for w={w} exceeds cap {degree_cap}")
+    check_degree("ddt", p.field.w, degree_cap)
     size = p.field.size
     ftab = _ftab(p)
     xs = np.arange(size)
@@ -201,18 +232,19 @@ def ddt(p: BCParams, degree_cap: int = DDT_DEGREE_CAP) -> np.ndarray:
 
 def ddt_to_csv(table: np.ndarray) -> str:
     """Rows a ascending, columns b ascending, plain integers."""
-    return "\n".join(",".join(str(int(v)) for v in row) for row in table) + "\n"
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%d", delimiter=",")
+    return buf.getvalue()
 
 
 def spectrum_report(p: BCParams, spec: DerivativeSpectrum) -> dict:
     """Deterministic JSON-ready summary of one verification run."""
-    uniform = all(spec.fiber_sizes(a) == {p.u} for a in spec.histograms)
-    apn = all(spec.fiber_sizes(a) == {2} for a in spec.histograms)
+    uniform = spec.uniform_fiber_size()
     return {
         "schema": 1,
         "kind": "derivative-spectrum",
         "params": p.to_dict(),
         "per_a_histogram_summary": spec.collapsed_summary(),
         "max_count": spec.max_count,
-        "verdicts": {"is_apn": apn, "is_2k_to_one": uniform, "k": p.k},
+        "verdicts": {"is_apn": uniform == 2, "is_2k_to_one": uniform == p.u, "k": p.k},
     }

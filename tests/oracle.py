@@ -5,9 +5,17 @@ multiply then reduce, exponentiation by squaring on big-int exponents
 (never Frobenius composition), fiber counting with dict loops.  If the
 library and this module agree, a shared bug would have to be duplicated
 across two very different code paths.
+
+:func:`derivative_table` is the exception: it reuses the library's value
+table and field tables so it stays fast enough for exhaustive loops, and
+is independent of the collapsed linear form only, not of the arithmetic.
 """
 
 from collections import Counter
+
+import numpy as np
+
+from apnforge.differential import _ftab, _mul_const
 
 
 def deg(p):
@@ -122,3 +130,12 @@ def fiber_histogram(m, n, c, d, a, mod):
     hist = Counter(fibers.values())
     hist[0] = size - len(fibers)
     return {t: cnt for t, cnt in hist.items() if cnt}
+
+
+def derivative_table(p, a):
+    """D_a at every x through the defining form F(ax) + F(ax+a) + F(a)."""
+    if a == 0:
+        raise ValueError("derivative shift a must be nonzero")
+    ftab = _ftab(p)
+    ax = _mul_const(p.field, a, np.arange(p.field.size))
+    return ftab[ax] ^ ftab[ax ^ a] ^ ftab[a]

@@ -1,9 +1,15 @@
 """End-to-end CLI behavior: outputs, exit codes, config plumbing."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from apnforge import cli, differential
 from apnforge.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
@@ -129,6 +135,78 @@ def test_verify_spectrum_cap(capsys):
     code, _, err = run(capsys, "verify", "--m", "9", "--n", "1", "--c", "0")
     assert code == EXIT_USAGE
     assert "cap" in err
+
+
+def _must_not_run(*args, **kwargs):
+    pytest.fail("expensive work started before the cap was checked")
+
+
+def test_verify_ddt_cap_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(differential, "value_table", _must_not_run)
+    ddt_path = tmp_path / "ddt.csv"
+    code, out, err = run(capsys, "verify", "--m", "3", "--n", "1", "--cap-ddt", "4",
+                         "--ddt-out", str(ddt_path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "ddt for w=6 exceeds cap 4" in err
+    assert not ddt_path.exists()
+
+
+def test_verify_beyond_kernel_tables_refused_before_histogram_route(capsys, monkeypatch):
+    monkeypatch.setattr(differential, "value_table", _must_not_run)
+    code, out, err = run(capsys, "verify", "--m", "9", "--n", "1", "--cap-spectrum", "18")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "w=18" in err
+
+
+def test_verify_criterion_guard_is_a_cross_check_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "compatibility_predicate", lambda m, n: False)
+    code, out, err = run(capsys, "verify", "--m", "2", "--n", "1")
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert "criterion excludes" in err
+
+
+# stdout of fixed invocations, pinned so refactors keep reports byte-identical.
+PINNED_STDOUT = [
+    (("verify", "--m", "3", "--n", "2"), EXIT_OK,
+     "9a44763a60a56cccbc7fe515d9e5ddbc5b0b3ffa70f063cb11e5928ba87f9a1c"),
+    (("verify", "--m", "2", "--n", "1", "--c", "2"), EXIT_CHECK_FAILED,
+     "9bdc7cf0838fee431026c77a340bb718be1613399933ca35f2727b147f7cf563"),
+    (("verify", "--m", "1", "--n", "2"), EXIT_OK,
+     "847acfe7d3755fc68d222af2e5454af90804713ea16775a21760a0fb44f946b5"),
+    (("witness", "--m", "2", "--n", "1", "--y", "8"), EXIT_OK,
+     "9a93bb7280440a08b33a5517526a32295c88f207aa8f5c08e401891ad7f224b7"),
+    (("witness", "--m", "2", "--n", "1", "--y", "8", "--format", "csv"), EXIT_OK,
+     "0583ca426dea135653c64c99ba1a9af0ca8632d83241c5ff1e14e3b90fbb144d"),
+    (("bc-empirical", "--max-2m", "12"), EXIT_OK,
+     "da2bc609e6916f243c0822d0a115fb39b2656532c0a0b91dc3c1e414076b2b08"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", PINNED_STDOUT)
+def test_stdout_bytes_pinned(capsys, argv, exit_code, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_traced_benchmark_replay_reproduces_cli_stdout(capsys):
+    """perfbench/replay.py re-runs verify through public calls; its bytes must match."""
+    root = Path(__file__).resolve().parents[1]
+    argv = ["verify", "--m", "3", "--n", "2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "replay.py"),
+         json.dumps([{"argv": argv, "out_file": None}])],
+        capture_output=True, text=True, timeout=300, check=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    replayed = json.loads(proc.stdout)["invocations"][0]["stdout_sha256"]
+    assert replayed == hashlib.sha256(out.encode()).hexdigest()
 
 
 def test_witness_json_and_failure_modes(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
+from apnforge import differential
 from apnforge.differential import (
     CrossCheckError,
     DerivativeSpectrum,
@@ -13,7 +14,6 @@ from apnforge.differential import (
     ddt,
     ddt_to_csv,
     derivative_spectrum,
-    derivative_table,
     derivative_table_linear,
     is_apn,
     is_t_to_one,
@@ -46,6 +46,7 @@ def test_spectrum_frozen_apn_instance():
         assert spec.histograms[a] == {0: 8, 2: 8}
         assert spec.fiber_sizes(a) == {2}
     assert spec.max_count == 2
+    assert spec.uniform_fiber_size() == 2
     assert spec.collapsed_summary() == [
         {"histogram": {"0": 8, "2": 8}, "count_a": 15}
     ]
@@ -87,6 +88,7 @@ def test_incompatible_c_observed_spectrum():
         attained = {t for a in spec.histograms for t in spec.fiber_sizes(a)}
         assert attained == {2, 4}
         assert spec.max_count == 4
+        assert spec.uniform_fiber_size() is None
         assert not is_apn(p)
         cross_check_spectrum(p, spec)  # the two routes agree even off-theorem
 
@@ -102,7 +104,7 @@ def test_derivative_tables_agree_and_match_scalar():
     for p in [APN_21, params(2, 2, 5), params(3, 1, 2)]:
         for a in range(1, p.field.size):
             lin = derivative_table_linear(p, a)
-            dfn = derivative_table(p, a)
+            dfn = oracle.derivative_table(p, a)
             assert (lin == dfn).all()
             assert lin[0] == 0 and lin[1] == 0
 
@@ -111,7 +113,7 @@ def test_tables_agree_exhaustively_at_top_desk_size():
     """Defining form vs collapsed linear form, every (a, x), up to w = 12."""
     for p in [params(6, 1, 2), params(6, 4, 3)]:
         for a in range(1, p.field.size):
-            assert (derivative_table(p, a) == derivative_table_linear(p, a)).all()
+            assert (oracle.derivative_table(p, a) == derivative_table_linear(p, a)).all()
 
 
 def test_translation_histograms_match_derivative_histograms():
@@ -156,6 +158,20 @@ def test_cross_check_raises_on_tampered_histogram():
     bad[3] = {0: 7, 2: 8, 4: 1}
     with pytest.raises(CrossCheckError):
         cross_check_spectrum(APN_21, DerivativeSpectrum(bad, 4))
+
+
+def test_is_apn_raises_when_kernel_route_disagrees(monkeypatch):
+    monkeypatch.setattr(
+        differential, "kernel_sizes", lambda p: np.ones(p.field.size, dtype=np.int64)
+    )
+    with pytest.raises(CrossCheckError):
+        is_apn(APN_21)
+
+
+def test_is_apn_runs_the_spot_check(monkeypatch):
+    monkeypatch.setattr(differential, "eval_derivative_linear", lambda p, a, x: 1)
+    with pytest.raises(CrossCheckError, match="forms disagree"):
+        is_apn(APN_21)
 
 
 def test_is_t_to_one_verdicts():
