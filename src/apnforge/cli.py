@@ -76,6 +76,8 @@ def load_modulus_table(path: str) -> dict[int, int]:
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
         raise ValueError(f"modulus table {path} must be a JSON object")
+    if bad := {k: v for k, v in obj.items() if not isinstance(v, str)}:
+        raise ValueError(f"modulus table {path}: moduli must be hex strings, got {bad}")
     return {int(k): int(v, 16) for k, v in obj.items()}
 
 
@@ -217,10 +219,9 @@ def _cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_bc_empirical(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.max_2m < 6:
         raise ValueError(f"--max-2m must be at least 6, got {args.max_2m}")
-    rows = []
-    for m in range(3, args.max_2m // 2 + 1):
-        fld = make_field(2 * m, cfg.modulus_table.get(2 * m))
-        rows.append(compat_report(m, 1, fld))
+    ms = range(3, args.max_2m // 2 + 1)
+    fields = {m: make_field(2 * m, cfg.modulus_table.get(2 * m)) for m in ms}
+    rows = [compat_report(m, 1, fld) for m, fld in fields.items()]
     text = reports_to_json(rows, "bc-empirical") if cfg.fmt == "json" else reports_to_csv(rows)
     _emit(text, cfg.out)
     return EXIT_OK if all(r.exists_c and r.consistent for r in rows) else EXIT_CHECK_FAILED

@@ -219,14 +219,10 @@ def sweep_reports(
     n_values: Sequence[int],
     modulus_table: Mapping[int, int] | None = None,
 ) -> list[CompatReport]:
-    """Reports for the full grid, m ascending then n ascending."""
+    """Reports for the full grid, m ascending then n ascending; fields are built first."""
     table = modulus_table or {}
-    rows = []
-    for m in sorted(m_values):
-        field = make_field(2 * m, table.get(2 * m))
-        for n in sorted(n_values):
-            rows.append(compat_report(m, n, field))
-    return rows
+    fields = {m: make_field(2 * m, table.get(2 * m)) for m in m_values}
+    return [compat_report(m, n, fields[m]) for m in sorted(m_values) for n in sorted(n_values)]
 
 
 def reports_to_json(rows: Sequence[CompatReport], kind: str = "compatibility-sweep") -> str:

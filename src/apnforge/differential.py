@@ -5,17 +5,19 @@ x -> F(x) + F(x + a) two independent ways:
 
 * the histogram route: tabulate F once, histogram the 2^w difference
   values per shift (numpy bincount);
-* the kernel route: compute |ker D_a| from the collapsed six-term linear
-  form and predict the whole histogram from the coset structure.
+* the kernel route: span D_a over F_2 from its basis images under
+  ``eval_derivative_linear`` (the collapsed six-term form the spot check
+  holds to the definition), count its zeros for |ker D_a| and predict
+  the whole histogram from the coset structure.
 
 The routes share nothing past basic field ops, so a bug in either
 exhaustive loop surfaces as a :class:`CrossCheckError` rather than a
 silently wrong verdict.  A map is 2^k-to-one exactly when every attained
 fiber has size 2^k; APN is the k = gcd(m, n) = 1 case.
 
-Spectrum work is O(2^(2w)) and capped (default w <= 16); the full
-difference distribution table is O(4^w) memory and capped tighter
-(default w <= 12).  Both caps are arguments, not constants.
+Spectrum work is O(2^(2w)) and capped (w <= 16 by default and always in
+:func:`verify_instance`); the full difference distribution table is
+O(4^w) memory and capped tighter (default w <= 12).
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .field import Field, SizeLimitError
+from .field import SizeLimitError
 from .hexanomial import (
     BCParams,
-    derivative_coeffs,
     eval_derivative,
     eval_derivative_linear,
     eval_hexanomial,
@@ -109,38 +110,12 @@ def derivative_spectrum(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP) -> D
     return DerivativeSpectrum(histograms=hists, max_count=max_count)
 
 
-def _frob_array(field: Field, t: int) -> np.ndarray:
-    """x^(2^t) for every x, as an array."""
-    exp, log = field.np_tables()
-    out = exp[(log[np.arange(field.size)] << (t % field.w)) % field.order]
-    out[0] = 0
-    return out
-
-
-def _mul_const(field: Field, c: int, arr: np.ndarray) -> np.ndarray:
-    """c * arr elementwise; exp is doubled so no reduction is needed."""
-    if c == 0:
-        return np.zeros_like(arr)
-    exp, log = field.np_tables()
-    return np.where(arr == 0, 0, exp[log[c] + log[arr]])
-
-
-@functools.lru_cache(maxsize=64)
-def _linear_parts(p: BCParams) -> tuple[np.ndarray, ...]:
-    """The six difference tables x^(2^i) + x^(2^j), ordered as derivative_coeffs."""
-    xs = np.arange(p.field.size)
-    fr = _frob_array(p.field, p.m)
-    fs = _frob_array(p.field, p.n)
-    frs = _frob_array(p.field, p.m + p.n)
-    return (xs ^ fs, xs ^ fr, xs ^ frs, fr ^ fs, fs ^ frs, frs ^ fr)
-
-
 def derivative_table_linear(p: BCParams, a: int) -> np.ndarray:
-    """D_a at every x through the collapsed linear form (vectorized)."""
-    acc = np.zeros(p.field.size, dtype=np.int64)
-    for cf, diff in zip(derivative_coeffs(p, a), _linear_parts(p)):
-        acc ^= _mul_const(p.field, cf, diff)
-    return acc
+    """D_a at every x, spanned over F_2 from its images of the basis X^0..X^(w-1)."""
+    table = np.zeros(1, dtype=np.int64)
+    for i in range(p.field.w):
+        table = np.concatenate((table, table ^ eval_derivative_linear(p, a, 1 << i)))
+    return table
 
 
 def kernel_sizes(p: BCParams) -> np.ndarray:
@@ -192,12 +167,11 @@ def verify_instance(
 ) -> tuple[int | None, dict]:
     """The whole exact check: (uniform fiber size or None, report with spot check).
 
-    The spectrum cap and the log/exp tables the kernel route runs on are
-    checked before any O(4^w) work.  Both routes and the spot check run;
-    any disagreement raises :class:`CrossCheckError` instead of a verdict.
+    The spectrum cap (never above w = 16: past it the two O(4^w) routes
+    would take tens of minutes) is checked before any work.  Both routes and the spot check run; any disagreement raises
+    :class:`CrossCheckError` instead of a verdict.
     """
-    check_degree("spectrum", p.field.w, degree_cap)
-    p.field.np_tables()
+    check_degree("spectrum", p.field.w, min(degree_cap, SPECTRUM_DEGREE_CAP))
     spec = derivative_spectrum(p, degree_cap)
     cross_check_spectrum(p, spec)
     report = spectrum_report(p, spec)

@@ -16,15 +16,14 @@ output.
 
 For w <= 16 the field builds discrete log/antilog tables once, making
 mul/inv/pow/frobenius O(1); larger fields (up to the configurable degree
-cap, default 24) fall back to shift-and-reduce multiplication.  Field
-objects are immutable after construction and safe to share.
+cap, default 24) fall back to shift-and-reduce multiplication.  The
+tables stay private to this module.  Field objects are immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
 
 import functools
-
-import numpy as np
 
 DEGREE_CAP = 24
 _TABLE_DEGREE_MAX = 16
@@ -114,7 +113,6 @@ class Field:
         self.order = self.size - 1
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._np_tables: tuple[np.ndarray, np.ndarray] | None = None
         self.generator = self._find_generator()
         if w <= _TABLE_DEGREE_MAX:
             self._build_tables()
@@ -250,24 +248,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(w={self.w}, modulus={self.modulus:#x})"
-
-    # -- vectorized access ---------------------------------------------------
-
-    def np_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exp, log) as int64 arrays; exp is doubled (index up to 2*order-1).
-
-        Only available when log/exp tables exist (w <= 16).
-        """
-        if self._exp is None:
-            raise SizeLimitError(
-                f"no log/exp tables for w={self.w} (built for w <= {_TABLE_DEGREE_MAX})"
-            )
-        if self._np_tables is None:
-            self._np_tables = (
-                np.array(self._exp, dtype=np.int64),
-                np.array(self._log, dtype=np.int64),
-            )
-        return self._np_tables
 
 
 @functools.lru_cache(maxsize=None)

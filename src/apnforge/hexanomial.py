@@ -90,6 +90,10 @@ class BCParams:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BCParams":
+        if not isinstance(obj, dict):
+            raise ValueError(f"params must be a JSON object, got {type(obj).__name__}")
+        if missing := sorted({"m", "n", "c_hex", "d_hex", "modulus_hex"} - obj.keys()):
+            raise ValueError(f"params missing keys {missing}")
         m = int(obj["m"])
         field = make_field(2 * m, int(obj["modulus_hex"], 16))
         return cls(

@@ -6,16 +6,20 @@ multiply then reduce, exponentiation by squaring on big-int exponents
 library and this module agree, a shared bug would have to be duplicated
 across two very different code paths.
 
-:func:`derivative_table` is the exception: it reuses the library's value
-table and field tables so it stays fast enough for exhaustive loops, and
-is independent of the collapsed linear form only, not of the arithmetic.
+:func:`derivative_table` and the array helpers beneath it are the
+exception: they reuse the library's value table, and their exp/log arrays
+are rebuilt here from the field's public ``generator`` and ``mul`` (the
+library keeps its own table layout private), so they stay fast enough
+for exhaustive loops.  They are independent of the collapsed linear form
+only, not of the arithmetic.
 """
 
+import functools
 from collections import Counter
 
 import numpy as np
 
-from apnforge.differential import _ftab, _mul_const
+from apnforge.differential import _ftab
 
 
 def deg(p):
@@ -132,10 +136,41 @@ def fiber_histogram(m, n, c, d, a, mod):
     return {t: cnt for t, cnt in hist.items() if cnt}
 
 
+@functools.lru_cache(maxsize=None)
+def exp_log_tables(field):
+    """(exp, log) int64 arrays from powers of the generator; exp is doubled."""
+    exp = np.zeros(2 * field.order, dtype=np.int64)
+    log = np.zeros(field.size, dtype=np.int64)
+    v = 1
+    for i in range(field.order):
+        exp[i] = exp[i + field.order] = v
+        log[v] = i
+        v = field.mul(v, field.generator)
+    exp.setflags(write=False)
+    log.setflags(write=False)
+    return exp, log
+
+
+def frob_array(field, t):
+    """x^(2^t) for every x, as an array."""
+    exp, log = exp_log_tables(field)
+    out = exp[(log[np.arange(field.size)] << (t % field.w)) % field.order]
+    out[0] = 0
+    return out
+
+
+def mul_const(field, c, arr):
+    """c * arr elementwise; exp is doubled so no reduction is needed."""
+    if c == 0:
+        return np.zeros_like(arr)
+    exp, log = exp_log_tables(field)
+    return np.where(arr == 0, 0, exp[log[c] + log[arr]])
+
+
 def derivative_table(p, a):
     """D_a at every x through the defining form F(ax) + F(ax+a) + F(a)."""
     if a == 0:
         raise ValueError("derivative shift a must be nonzero")
     ftab = _ftab(p)
-    ax = _mul_const(p.field, a, np.arange(p.field.size))
+    ax = mul_const(p.field, a, np.arange(p.field.size))
     return ftab[ax] ^ ftab[ax ^ a] ^ ftab[a]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from apnforge import cli, differential
+from apnforge import cli, compatibility, differential
 from apnforge.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
@@ -122,6 +122,20 @@ def test_verify_params_file(tmp_path, capsys):
     assert doc["params"]["c_hex"] == "b"
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [({"m": 2}, "missing keys ['c_hex', 'd_hex', 'modulus_hex', 'n']"),
+     ([1, 2], "must be a JSON object, got list")],
+)
+def test_verify_malformed_params_file_is_a_usage_error(tmp_path, capsys, params, message):
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps(params))
+    code, out, err = run(capsys, "verify", "--params", str(pfile))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_verify_ddt_export(tmp_path, capsys):
     ddt_path = tmp_path / "ddt.csv"
     code, _, _ = run(capsys, "verify", "--m", "2", "--n", "1", "--ddt-out", str(ddt_path))
@@ -158,6 +172,18 @@ def test_verify_beyond_kernel_tables_refused_before_histogram_route(capsys, monk
     assert code == EXIT_USAGE
     assert out == ""
     assert "w=18" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep", "--m-range", "8..13", "--n-range", "8..8"), ("bc-empirical", "--max-2m", "26")],
+)
+def test_field_beyond_degree_cap_refused_before_any_search(capsys, monkeypatch, argv):
+    monkeypatch.setattr(compatibility, "_search_c", _must_not_run)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "field degree 26 exceeds cap 24" in err
 
 
 def test_verify_criterion_guard_is_a_cross_check_failure(capsys, monkeypatch):
@@ -269,6 +295,15 @@ def test_modulus_table_errors(tmp_path, capsys):
     reducible.write_text(json.dumps({"4": "15"}))
     code, _, err = run(capsys, "sweep", "--m-range", "2..2", "--modulus-table", str(reducible))
     assert code == EXIT_USAGE
+
+
+def test_modulus_table_non_string_value_is_a_usage_error(tmp_path, capsys):
+    table = tmp_path / "mods.json"
+    table.write_text(json.dumps({"4": 19}))
+    code, out, err = run(capsys, "sweep", "--m-range", "2..2", "--modulus-table", str(table))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and "must be hex strings, got {'4': 19}" in err
 
 
 def test_out_path_io_error(tmp_path, capsys):

@@ -169,9 +169,25 @@ def test_is_apn_raises_when_kernel_route_disagrees(monkeypatch):
 
 
 def test_is_apn_runs_the_spot_check(monkeypatch):
-    monkeypatch.setattr(differential, "eval_derivative_linear", lambda p, a, x: 1)
+    monkeypatch.setattr(differential, "eval_derivative", lambda p, a, x: 1)
     with pytest.raises(CrossCheckError, match="forms disagree"):
         is_apn(APN_21)
+
+
+def test_wrong_linear_form_fails_the_cross_check(monkeypatch):
+    """The kernel route reads D_a only through eval_derivative_linear."""
+    monkeypatch.setattr(differential, "eval_derivative_linear", lambda p, a, x: x)
+    with pytest.raises(CrossCheckError, match="shift a="):
+        is_apn(APN_21)
+
+
+def test_verify_instance_refuses_w_above_16_before_any_work(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("expensive work started before the cap was checked")
+
+    monkeypatch.setattr(differential, "value_table", must_not_run)
+    with pytest.raises(SizeLimitError, match="w=18"):
+        differential.verify_instance(params(9, 1, 0, 2), degree_cap=18)
 
 
 def test_is_t_to_one_verdicts():

@@ -287,11 +287,11 @@ def test_alternative_modulus_changes_arithmetic():
             assert f.mul(x, y) == oracle.gfmul(x, y, 0x19)
 
 
-def test_np_tables_consistent_and_capped():
+def test_oracle_exp_log_tables_consistent():
     f = make_field(8)
-    exp, log = f.np_tables()
+    exp, log = oracle.exp_log_tables(f)
     assert exp.shape == (2 * f.order,)
     for x in range(1, f.size):
         assert exp[log[x]] == x
-    with pytest.raises(SizeLimitError):
-        make_field(18).np_tables()
+    for i in (0, 1, 7, f.order - 1):
+        assert exp[i] == exp[i + f.order] == oracle.gfpow(f.generator, i, f.modulus)
