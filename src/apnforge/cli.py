@@ -111,11 +111,23 @@ class RunConfig:
         )
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write text to path by a temp file beside it and a rename: no partial file on failure."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        _write_file(out, text)
 
 
 def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -176,7 +188,7 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     report.update({"kind": "verify", "status": "ok", **meta, "spot_check": spot})
     _emit(json.dumps(report, indent=2) + "\n", cfg.out)
     if args.ddt_out is not None:
-        Path(args.ddt_out).write_text(ddt_to_csv(ddt(p, cfg.cap_ddt)))
+        _write_file(args.ddt_out, ddt_to_csv(ddt(p, cfg.cap_ddt)))
     return EXIT_OK if report["verdicts"]["is_2k_to_one"] else EXIT_CHECK_FAILED
 
 

@@ -4,20 +4,24 @@ For every nonzero shift a this module counts the fiber sizes of
 x -> F(x) + F(x + a) two independent ways:
 
 * the histogram route: tabulate F once, histogram the 2^w difference
-  values per shift (numpy bincount);
-* the kernel route: span D_a over F_2 from its basis images under
-  ``eval_derivative_linear`` (the collapsed six-term form the spot check
-  holds to the definition), count its zeros for |ker D_a| and predict
-  the whole histogram from the coset structure.
+  values per shift (numpy bincount), O(4^w);
+* the kernel route (the rank route): D_a is F_2-linear, so
+  |ker D_a| = 2^(w - rank) with the rank over F_2 of its basis images
+  D_a(X^0..X^(w-1)).  The images come from the collapsed six-term form
+  in :mod:`apnforge.hexanomial` (the form the spot check holds to the
+  definition), evaluated with elementwise array ops for every shift at
+  once, and one Gaussian elimination vectorized over the shifts gives
+  every rank: O(w^2 2^w).  The coset structure then predicts the whole
+  histogram.
 
 The routes share nothing past basic field ops, so a bug in either
 exhaustive loop surfaces as a :class:`CrossCheckError` rather than a
 silently wrong verdict.  A map is 2^k-to-one exactly when every attained
 fiber has size 2^k; APN is the k = gcd(m, n) = 1 case.
 
-Spectrum work is O(2^(2w)) and capped (w <= 16 by default and always in
-:func:`verify_instance`); the full difference distribution table is
-O(4^w) memory and capped tighter (default w <= 12).
+Spectrum work is O(4^w) in the histogram route and capped (w <= 16 by
+default and always in :func:`verify_instance`); the full difference
+distribution table is O(4^w) memory and capped tighter (default w <= 12).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import hexanomial
 from .field import SizeLimitError
 from .hexanomial import (
     BCParams,
@@ -110,20 +115,67 @@ def derivative_spectrum(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP) -> D
     return DerivativeSpectrum(histograms=hists, max_count=max_count)
 
 
-def derivative_table_linear(p: BCParams, a: int) -> np.ndarray:
-    """D_a at every x, spanned over F_2 from its images of the basis X^0..X^(w-1)."""
-    table = np.zeros(1, dtype=np.int64)
-    for i in range(p.field.w):
-        table = np.concatenate((table, table ^ eval_derivative_linear(p, a, 1 << i)))
-    return table
+class _ArrayOps:
+    """Elementwise F_{2^w} arithmetic on int64 arrays, from the modulus alone.
+
+    Shift-and-reduce multiply and a Frobenius applied as the F_2-linear
+    map it is, so the same code serves every w up to the field cap (24)
+    and the field's log/exp tables stay private to it.
+    """
+
+    def __init__(self, w: int, modulus: int):
+        self.w = w
+        self.modulus = modulus
+        # _frob[t][j] = (X^j)^(2^t), each row the square of the one before.
+        self._frob = [np.left_shift(1, np.arange(w, dtype=np.int64))]
+        for _ in range(w - 1):
+            self._frob.append(self.mul(self._frob[-1], self._frob[-1]))
+
+    def mul(self, x, y):
+        x = np.asarray(x, dtype=np.int64)
+        acc = np.zeros(np.broadcast_shapes(x.shape, np.shape(y)), dtype=np.int64)
+        for i in range(self.w):
+            acc ^= x & -((y >> i) & 1)
+            x = x << 1
+            x ^= self.modulus & -(x >> self.w)
+        return acc
+
+    def frobenius(self, x, t: int = 1):
+        """x^(2^t): the XOR of the images (X^j)^(2^t) over the set bits j of x."""
+        out = np.zeros(np.shape(x), dtype=np.int64)
+        for j, image in enumerate(self._frob[t % self.w]):
+            out ^= image & -((x >> j) & 1)
+        return out
+
+
+def _gf2_ranks(vectors, w: int, count: int) -> np.ndarray:
+    """Rank over F_2 of the w-bit vectors, column by column of `count` columns.
+
+    Each vector joins a basis indexed by leading bit (Gaussian
+    elimination), vectorized over the columns: O(w) steps per vector.
+    """
+    basis = np.zeros((w, count), dtype=np.int64)
+    for v in vectors:
+        for b in reversed(range(w)):
+            bit = (v >> b) & 1
+            row = basis[b]
+            np.copyto(row, v, where=(bit == 1) & (row == 0))
+            v = v ^ (row & -bit)
+    return np.count_nonzero(basis, axis=0)
 
 
 def kernel_sizes(p: BCParams) -> np.ndarray:
-    """|ker D_a| for every a (index 0 unused); the kernel route."""
-    size = p.field.size
-    out = np.zeros(size, dtype=np.int64)
-    for a in range(1, size):
-        out[a] = int(np.count_nonzero(derivative_table_linear(p, a) == 0))
+    """|ker D_a| = 2^(w - rank) for every a (index 0 unused); the kernel route.
+
+    The rank is over the images D_a(X^0..X^(w-1)) of the collapsed form
+    in :mod:`apnforge.hexanomial`, evaluated for every shift at once.
+    """
+    w = p.field.w
+    ops = _ArrayOps(w, p.field.modulus)
+    coeffs = hexanomial.collapsed_coeffs(ops, p, np.arange(1, p.field.size, dtype=np.int64))
+    images = (hexanomial.collapsed_form(ops, p, coeffs, 1 << i) for i in range(w))
+    out = np.zeros(p.field.size, dtype=np.int64)
+    out[1:] = np.left_shift(1, w - _gf2_ranks(images, w, p.field.order))
     return out
 
 
@@ -167,8 +219,9 @@ def verify_instance(
 ) -> tuple[int | None, dict]:
     """The whole exact check: (uniform fiber size or None, report with spot check).
 
-    The spectrum cap (never above w = 16: past it the two O(4^w) routes
-    would take tens of minutes) is checked before any work.  Both routes and the spot check run; any disagreement raises
+    The spectrum cap (never above w = 16: past it the O(4^w) histogram
+    route would take tens of minutes) is checked before any work.  Both
+    routes and the spot check run; any disagreement raises
     :class:`CrossCheckError` instead of a verdict.
     """
     check_degree("spectrum", p.field.w, min(degree_cap, SPECTRUM_DEGREE_CAP))

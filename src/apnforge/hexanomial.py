@@ -17,7 +17,12 @@ form coeff * (x^(2^i) + x^(2^j)).  Each such difference is linear over
 F_{2^k}, k = gcd(m, n), so D_a is a F_{2^k}-linear map whose nonzero
 fibers are cosets of its kernel -- the fact that makes exhaustive
 derivative verification cheap.  The six coefficients depend only on
-(params, a) and are cached.
+(params, a); the scalar ones are cached.
+
+The coefficient formula and the six-term pairing order are written once,
+in :func:`collapsed_coeffs` and :func:`collapsed_form`, generic over field
+ops: the scalar :class:`Field` (the spot check) or elementwise array ops
+over every shift (the kernel route in :mod:`apnforge.differential`).
 
 F is represented operationally, as evaluation procedures, not as a
 coefficient list.
@@ -94,14 +99,21 @@ class BCParams:
             raise ValueError(f"params must be a JSON object, got {type(obj).__name__}")
         if missing := sorted({"m", "n", "c_hex", "d_hex", "modulus_hex"} - obj.keys()):
             raise ValueError(f"params missing keys {missing}")
-        m = int(obj["m"])
-        field = make_field(2 * m, int(obj["modulus_hex"], 16))
+
+        def read(key, convert):
+            try:
+                return convert(obj[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"params key {key!r}: {exc}") from None
+
+        m = read("m", int)
+        field = make_field(2 * m, read("modulus_hex", lambda v: int(v, 16)))
         return cls(
             m=m,
-            n=int(obj["n"]),
+            n=read("n", int),
             field=field,
-            c=field.element_from_hex(obj["c_hex"]),
-            d=field.element_from_hex(obj["d_hex"]),
+            c=read("c_hex", field.element_from_hex),
+            d=read("d_hex", field.element_from_hex),
         )
 
 
@@ -128,17 +140,15 @@ def eval_derivative(p: BCParams, a: int, x: int) -> int:
     return eval_hexanomial(p, ax) ^ eval_hexanomial(p, ax ^ a) ^ eval_hexanomial(p, a)
 
 
-@functools.lru_cache(maxsize=1 << 18)
-def derivative_coeffs(p: BCParams, a: int) -> tuple[int, int, int, int, int, int]:
-    """The six coefficients of the collapsed form of D_a.
+def collapsed_coeffs(f, p: BCParams, a):
+    """The six coefficients of the collapsed form of D_a, under field ops f.
 
-    Pairing order matches :func:`eval_derivative_linear`:
+    f is the scalar :class:`Field` (a is one shift) or elementwise array
+    ops (a is an array of shifts); both provide ``mul`` and ``frobenius``.
+    Pairing order matches :func:`collapsed_form`:
     (x + x^s), (x + x^r), (x + x^(rs)), (x^r + x^s), (x^s + x^(rs)),
     (x^(rs) + x^r).
     """
-    if a == 0:
-        raise ValueError("derivative shift a must be nonzero")
-    f = p.field
     ar = f.frobenius(a, p.m)
     an = f.frobenius(a, p.n)
     ars = f.frobenius(a, p.m + p.n)
@@ -153,14 +163,9 @@ def derivative_coeffs(p: BCParams, a: int) -> tuple[int, int, int, int, int, int
     )
 
 
-def eval_derivative_linear(p: BCParams, a: int, x: int) -> int:
-    """D_a(x) through the collapsed six-term linear form.
-
-    Independent of :func:`eval_derivative` past the shared field ops; the
-    two must agree everywhere, and the test suite holds them to that.
-    """
-    a1, a2, a3, a4, a5, a6 = derivative_coeffs(p, a)
-    f = p.field
+def collapsed_form(f, p: BCParams, coeffs, x):
+    """D_a(x) from the six coefficients of :func:`collapsed_coeffs`, under field ops f."""
+    a1, a2, a3, a4, a5, a6 = coeffs
     xr = f.frobenius(x, p.m)
     xs = f.frobenius(x, p.n)
     xrs = f.frobenius(x, p.m + p.n)
@@ -172,6 +177,23 @@ def eval_derivative_linear(p: BCParams, a: int, x: int) -> int:
         ^ f.mul(a5, xs ^ xrs)
         ^ f.mul(a6, xrs ^ xr)
     )
+
+
+@functools.lru_cache(maxsize=1 << 18)
+def derivative_coeffs(p: BCParams, a: int) -> tuple[int, int, int, int, int, int]:
+    """The six coefficients of the collapsed form of D_a in the scalar field."""
+    if a == 0:
+        raise ValueError("derivative shift a must be nonzero")
+    return collapsed_coeffs(p.field, p, a)
+
+
+def eval_derivative_linear(p: BCParams, a: int, x: int) -> int:
+    """D_a(x) through the collapsed six-term linear form.
+
+    Independent of :func:`eval_derivative` past the shared field ops; the
+    two must agree everywhere, and the test suite holds them to that.
+    """
+    return collapsed_form(p.field, p, derivative_coeffs(p, a), x)
 
 
 def derivative_kernel(p: BCParams, a: int) -> set[int]:

@@ -12,6 +12,10 @@ are rebuilt here from the field's public ``generator`` and ``mul`` (the
 library keeps its own table layout private), so they stay fast enough
 for exhaustive loops.  They are independent of the collapsed linear form
 only, not of the arithmetic.
+
+:func:`span_kernel_sizes` is the span route the library's rank route
+replaced: it spans every D_a from its basis images under the scalar
+``eval_derivative_linear`` and counts zeros, O(4^w).
 """
 
 import functools
@@ -20,6 +24,7 @@ from collections import Counter
 import numpy as np
 
 from apnforge.differential import _ftab
+from apnforge.hexanomial import eval_derivative_linear
 
 
 def deg(p):
@@ -174,3 +179,20 @@ def derivative_table(p, a):
     ftab = _ftab(p)
     ax = mul_const(p.field, a, np.arange(p.field.size))
     return ftab[ax] ^ ftab[ax ^ a] ^ ftab[a]
+
+
+def derivative_table_linear(p, a):
+    """D_a at every x, spanned over F_2 from its images of the basis X^0..X^(w-1)."""
+    table = np.zeros(1, dtype=np.int64)
+    for i in range(p.field.w):
+        table = np.concatenate((table, table ^ eval_derivative_linear(p, a, 1 << i)))
+    return table
+
+
+def span_kernel_sizes(p):
+    """|ker D_a| for every a (index 0 unused), by counting zeros of the spanned table."""
+    size = p.field.size
+    out = np.zeros(size, dtype=np.int64)
+    for a in range(1, size):
+        out[a] = int(np.count_nonzero(derivative_table_linear(p, a) == 0))
+    return out

@@ -26,7 +26,6 @@ from apnforge.differential import (
     _coset_histogram,
     cross_check_spectrum,
     derivative_spectrum,
-    derivative_table_linear,
     is_apn,
     is_t_to_one,
     value_table,
@@ -38,7 +37,7 @@ from apnforge.hexanomial import (
     eval_derivative,
     eval_derivative_linear,
 )
-from oracle import derivative_table, frob_array, mul_const
+from oracle import derivative_table, derivative_table_linear, frob_array, mul_const
 
 SEED = 0x5EED
 

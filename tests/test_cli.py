@@ -112,9 +112,12 @@ def test_verify_requires_m_and_n(capsys):
     assert "--m and --n" in err
 
 
+GOOD_PARAMS = {"m": 2, "n": 1, "c_hex": "b", "d_hex": "2", "modulus_hex": "13"}
+
+
 def test_verify_params_file(tmp_path, capsys):
     pfile = tmp_path / "params.json"
-    pfile.write_text(json.dumps({"m": 2, "n": 1, "c_hex": "b", "d_hex": "2", "modulus_hex": "13"}))
+    pfile.write_text(json.dumps(GOOD_PARAMS))
     code, out, _ = run(capsys, "verify", "--params", str(pfile))
     assert code == EXIT_OK
     doc = json.loads(out)
@@ -125,7 +128,11 @@ def test_verify_params_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "params, message",
     [({"m": 2}, "missing keys ['c_hex', 'd_hex', 'modulus_hex', 'n']"),
-     ([1, 2], "must be a JSON object, got list")],
+     ([1, 2], "must be a JSON object, got list"),
+     ({**GOOD_PARAMS, "m": None}, "params key 'm'"),
+     ({**GOOD_PARAMS, "c_hex": 11}, "params key 'c_hex'"),
+     ({**GOOD_PARAMS, "modulus_hex": 19}, "params key 'modulus_hex'"),
+     ({**GOOD_PARAMS, "n": float("inf")}, "params key 'n'")],
 )
 def test_verify_malformed_params_file_is_a_usage_error(tmp_path, capsys, params, message):
     pfile = tmp_path / "params.json"
@@ -310,6 +317,25 @@ def test_out_path_io_error(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--m-range", "1..1", "--n-range", "1..1",
                        "--out", str(tmp_path / "no" / "such" / "dir.json"))
     assert code == EXIT_IO
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("sweep", "--m-range", "1..1", "--n-range", "1..1"), "--out"),
+    (("verify", "--m", "2", "--n", "1"), "--ddt-out"),
+])
+def test_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch, argv, flag):
+    write_text = Path.write_text
+
+    def fail_partway(self, data, *args, **kwargs):
+        write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", fail_partway)
+    target = tmp_path / "report.out"
+    code, _, err = run(capsys, *argv, flag, str(target))
+    assert code == EXIT_IO
+    assert "No space left" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_errors_from_argparse(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
-from apnforge import differential
+from apnforge import differential, hexanomial
 from apnforge.differential import (
     CrossCheckError,
     DerivativeSpectrum,
@@ -14,7 +14,6 @@ from apnforge.differential import (
     ddt,
     ddt_to_csv,
     derivative_spectrum,
-    derivative_table_linear,
     is_apn,
     is_t_to_one,
     kernel_sizes,
@@ -100,10 +99,44 @@ def test_kernel_route_matches_exhaustive_kernels():
             assert ks[a] == len(derivative_kernel(p, a))
 
 
+def test_rank_route_matches_span_route():
+    """Every c for six (m, n) pairs (480 instances), plus one instance at w = 10 and 12."""
+    seen = set()
+    for m, n in [(2, 1), (3, 1), (3, 2), (4, 2), (2, 2), (3, 3)]:
+        for c in make_field(2 * m).elements():
+            p = params(m, n, c)
+            ks = kernel_sizes(p)
+            assert (ks == oracle.span_kernel_sizes(p)).all(), (m, n, c)
+            seen.add(frozenset(ks[1:].tolist()))
+    assert seen == {frozenset(s) for s in ({2}, {4}, {8}, {2, 4}, {2, 8}, {4, 16})}
+    for p in [params(5, 2, 3), params(6, 1, 2)]:
+        assert (kernel_sizes(p) == oracle.span_kernel_sizes(p)).all()
+
+
+def test_array_ops_match_field_ops():
+    """Every pair at w <= 8; seeded samples on the table (16) and shift-and-reduce (18, 24) paths."""
+    for w in range(1, 9):
+        f = make_field(w)
+        ops = differential._ArrayOps(w, f.modulus)
+        xs = np.arange(f.size)
+        for y in f.elements():
+            assert ops.mul(xs, y).tolist() == [f.mul(x, y) for x in f.elements()]
+        for t in range(2 * w):
+            assert ops.frobenius(xs, t).tolist() == [f.frobenius(x, t) for x in f.elements()]
+    rng = np.random.default_rng(7)
+    for w in (16, 18, 24):
+        f = make_field(w)
+        ops = differential._ArrayOps(w, f.modulus)
+        xs, ys = rng.integers(0, f.size, size=(2, 2000))
+        assert ops.mul(xs, ys).tolist() == [f.mul(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        for t in (1, w // 2 + 1, w - 1):
+            assert ops.frobenius(xs, t).tolist() == [f.frobenius(x, t) for x in xs.tolist()]
+
+
 def test_derivative_tables_agree_and_match_scalar():
     for p in [APN_21, params(2, 2, 5), params(3, 1, 2)]:
         for a in range(1, p.field.size):
-            lin = derivative_table_linear(p, a)
+            lin = oracle.derivative_table_linear(p, a)
             dfn = oracle.derivative_table(p, a)
             assert (lin == dfn).all()
             assert lin[0] == 0 and lin[1] == 0
@@ -113,7 +146,7 @@ def test_tables_agree_exhaustively_at_top_desk_size():
     """Defining form vs collapsed linear form, every (a, x), up to w = 12."""
     for p in [params(6, 1, 2), params(6, 4, 3)]:
         for a in range(1, p.field.size):
-            assert (oracle.derivative_table(p, a) == derivative_table_linear(p, a)).all()
+            assert (oracle.derivative_table(p, a) == oracle.derivative_table_linear(p, a)).all()
 
 
 def test_translation_histograms_match_derivative_histograms():
@@ -123,7 +156,7 @@ def test_translation_histograms_match_derivative_histograms():
         ftab = np.array(value_table(p), dtype=np.int64)
         xs = np.arange(size)
         for a in range(1, size):
-            rescaled = np.bincount(derivative_table_linear(p, a), minlength=size)
+            rescaled = np.bincount(oracle.derivative_table_linear(p, a), minlength=size)
             plain = np.bincount(ftab ^ ftab[xs ^ a], minlength=size)
             assert (np.sort(rescaled) == np.sort(plain)).all()
 
@@ -175,8 +208,8 @@ def test_is_apn_runs_the_spot_check(monkeypatch):
 
 
 def test_wrong_linear_form_fails_the_cross_check(monkeypatch):
-    """The kernel route reads D_a only through eval_derivative_linear."""
-    monkeypatch.setattr(differential, "eval_derivative_linear", lambda p, a, x: x)
+    """The kernel route reads D_a through the collapsed form the spot check validates."""
+    monkeypatch.setattr(hexanomial, "collapsed_form", lambda f, p, coeffs, x: x)
     with pytest.raises(CrossCheckError, match="shift a="):
         is_apn(APN_21)
 
