@@ -38,7 +38,6 @@ from .field import (
 from .hexanomial import (
     BCParams,
     default_d,
-    derivative_kernel,
     eval_derivative,
     eval_derivative_linear,
     eval_hexanomial,
@@ -58,7 +57,6 @@ __all__ = [
     "compatibility_predicate",
     "ddt",
     "default_d",
-    "derivative_kernel",
     "derivative_spectrum",
     "divisibility_criterion",
     "eval_compat_poly",

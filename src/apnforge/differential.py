@@ -1,48 +1,37 @@
 """Differential-spectrum verification for hexanomial instances.
 
-For every nonzero shift a this module counts the fiber sizes of
-x -> F(x) + F(x + a) two independent ways:
+Every exponent of F has binary weight at most 2, so F is quadratic and
+each derivative is affine: its nonzero fibers are cosets of one kernel,
+whose size fixes the fiber histogram.  Two routes give |ker| for every
+shift a != 0 as 2^(w - rank), with the F_2-rank of w basis images from
+one elimination vectorized over all shifts (:func:`_gf2_ranks`),
+O(w^2 2^w).  They differ only in where the images come from:
 
-* the histogram route: tabulate F once, histogram the 2^w difference
-  values per shift (numpy bincount), O(4^w);
-* the kernel route (the rank route): D_a is F_2-linear, so
-  |ker D_a| = 2^(w - rank) with the rank over F_2 of its basis images
-  D_a(X^0..X^(w-1)).  The images come from the collapsed six-term form
-  in :mod:`apnforge.hexanomial` (the form the spot check holds to the
-  definition), evaluated with elementwise array ops for every shift at
-  once, and one Gaussian elimination vectorized over the shifts gives
-  every rank: O(w^2 2^w).  The coset structure then predicts the whole
-  histogram.
+* the definition route reads B(a, X^i) = F(a + X^i) + F(a) + F(X^i) + F(0)
+  off a table of F, once a Moebius transform has certified F quadratic;
+* the kernel route evaluates D_a(X^i) through the collapsed six-term
+  form of :mod:`apnforge.hexanomial`, the form the spot check holds to
+  the definition.
 
-The routes share nothing past basic field ops, so a bug in either
-exhaustive loop surfaces as a :class:`CrossCheckError` rather than a
-silently wrong verdict.  A map is 2^k-to-one exactly when every attained
-fiber has size 2^k; APN is the k = gcd(m, n) = 1 case.
-
-Spectrum work is O(4^w) in the histogram route and capped (w <= 16 by
-default and always in :func:`verify_instance`); the full difference
-distribution table is O(4^w) memory and capped tighter (default w <= 12).
+They must agree at every shift, or :class:`CrossCheckError` replaces the
+verdict; the test suite holds each route to its own oracle as well.  A
+map is 2^k-to-one exactly when every kernel has size 2^k; APN is k = 1.
+Spectra are capped (w <= 16 by default and always in
+:func:`verify_instance`); the O(4^w) difference distribution table is
+capped tighter (default w <= 12).
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import random
-from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from . import hexanomial
 from .field import SizeLimitError
-from .hexanomial import (
-    BCParams,
-    eval_derivative,
-    eval_derivative_linear,
-    eval_hexanomial,
-)
+from .hexanomial import BCParams, eval_derivative, eval_derivative_linear, eval_hexanomial
 
 SPECTRUM_DEGREE_CAP = 16
 DDT_DEGREE_CAP = 12
@@ -50,47 +39,40 @@ SPOT_CHECK_SAMPLES = 1000
 
 
 class CrossCheckError(RuntimeError):
-    """Histogram route and kernel route disagree: an internal bug, not a verdict."""
+    """The routes disagree, or F is not quadratic: an internal bug, not a verdict."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq would compare arrays, whose truth value is ambiguous
 class DerivativeSpectrum:
-    """Fiber-size histograms per shift: histograms[a][t] = #{b : |fiber over b| = t}."""
+    """kernels[a] = |ker| of the derivative at shift a (index 0 unused)."""
 
-    histograms: Mapping[int, Mapping[int, int]]
-    max_count: int
+    kernels: np.ndarray
 
-    def fiber_sizes(self, a: int) -> set[int]:
-        """Attained (nonzero) fiber sizes for shift a."""
-        return {t for t in self.histograms[a] if t}
+    def histogram(self, a: int) -> dict[int, int]:
+        """{fiber size: #b} for x -> F(x) + F(x + a)."""
+        return _coset_histogram(len(self.kernels), int(self.kernels[a]))
+
+    @property
+    def max_count(self) -> int:
+        """The largest fiber over all shifts: a DDT's largest off-zero entry."""
+        return int(self.kernels[1:].max())
 
     def uniform_fiber_size(self) -> int | None:
         """The one fiber size attained at every shift, or None when sizes are mixed."""
-        sizes = {t for hist in self.histograms.values() for t in hist if t}
-        return sizes.pop() if len(sizes) == 1 else None
+        sizes = np.unique(self.kernels[1:])
+        return int(sizes[0]) if len(sizes) == 1 else None
 
     def collapsed_summary(self) -> list[dict]:
         """Histogram shapes grouped over a: few lines even for big sweeps."""
-        groups = Counter(
-            tuple(sorted(self.histograms[a].items())) for a in sorted(self.histograms)
-        )
-        return [
-            {"histogram": {str(t): cnt for t, cnt in shape}, "count_a": mult}
-            for shape, mult in sorted(groups.items())
-        ]
+        size = len(self.kernels)
+        groups = zip(*np.unique(self.kernels[1:], return_counts=True))
+        shapes = sorted((sorted(_coset_histogram(size, int(k)).items()), int(n)) for k, n in groups)
+        return [{"histogram": {str(t): c for t, c in shape}, "count_a": n} for shape, n in shapes]
 
 
 def value_table(p: BCParams) -> list[int]:
     """F at every element, canonical order (scalar route, on purpose)."""
     return [eval_hexanomial(p, x) for x in p.field.elements()]
-
-
-@functools.lru_cache(maxsize=8)
-def _ftab(p: BCParams) -> np.ndarray:
-    """value_table as a read-only array, cached so per-shift loops stay O(2^w)."""
-    tab = np.array(value_table(p), dtype=np.int64)
-    tab.setflags(write=False)
-    return tab
 
 
 def check_degree(what: str, w: int, degree_cap: int) -> None:
@@ -99,20 +81,34 @@ def check_degree(what: str, w: int, degree_cap: int) -> None:
         raise SizeLimitError(f"{what} for w={w} exceeds cap {degree_cap}")
 
 
+def _check_quadratic(ftab: np.ndarray, w: int) -> None:
+    """Raise CrossCheckError unless F's ANF (a binary Moebius transform) has degree <= 2."""
+    anf = ftab.copy()
+    for i in range(w):
+        halves = anf.reshape(-1, 2, 1 << i)
+        halves[:, 1] ^= halves[:, 0]
+    anf[[0] + [1 << i | 1 << j for i in range(w) for j in range(i, w)]] = 0  # degree <= 2
+    high = np.flatnonzero(anf)
+    if high.size:
+        u = int(high[0])
+        raise CrossCheckError(f"F is not quadratic: ANF monomial {u:#x} (weight {u.bit_count()})")
+
+
 def derivative_spectrum(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP) -> DerivativeSpectrum:
-    """Exhaustive fiber histograms of x -> F(x) + F(x+a) for every a != 0."""
+    """|ker| for every a != 0 from the value table alone: the definition route.
+
+    Once F is certified quadratic, x -> F(x) + F(x + a) is affine with
+    linear part B(a, x) = F(a + x) + F(a) + F(x) + F(0), whose images
+    of X^0..X^(w-1) are w table lookups per shift.
+    """
     check_degree("spectrum", p.field.w, degree_cap)
-    size = p.field.size
-    ftab = _ftab(p)
-    xs = np.arange(size)
-    hists: dict[int, dict[int, int]] = {}
-    max_count = 0
-    for a in range(1, size):
-        fibers = np.bincount(ftab ^ ftab[xs ^ a], minlength=size)
-        shape = np.bincount(fibers)
-        hists[a] = {int(t): int(cnt) for t, cnt in enumerate(shape) if cnt}
-        max_count = max(max_count, len(shape) - 1)
-    return DerivativeSpectrum(histograms=hists, max_count=max_count)
+    w = p.field.w
+    ftab = np.array(value_table(p), dtype=np.int64)
+    _check_quadratic(ftab, w)
+    shifts = np.arange(1, p.field.size)
+    base = ftab[shifts] ^ ftab[0]
+    images = (ftab[shifts ^ (1 << i)] ^ base ^ ftab[1 << i] for i in range(w))
+    return DerivativeSpectrum(_kernels_from_images(images, w))
 
 
 class _ArrayOps:
@@ -164,6 +160,13 @@ def _gf2_ranks(vectors, w: int, count: int) -> np.ndarray:
     return np.count_nonzero(basis, axis=0)
 
 
+def _kernels_from_images(images, w: int) -> np.ndarray:
+    """2^(w - rank) at every shift 1..2^w - 1 from its w basis images; index 0 unused."""
+    kernels = np.zeros(1 << w, dtype=np.int64)
+    kernels[1:] = np.left_shift(1, w - _gf2_ranks(images, w, (1 << w) - 1))
+    return kernels
+
+
 def kernel_sizes(p: BCParams) -> np.ndarray:
     """|ker D_a| = 2^(w - rank) for every a (index 0 unused); the kernel route.
 
@@ -174,13 +177,11 @@ def kernel_sizes(p: BCParams) -> np.ndarray:
     ops = _ArrayOps(w, p.field.modulus)
     coeffs = hexanomial.collapsed_coeffs(ops, p, np.arange(1, p.field.size, dtype=np.int64))
     images = (hexanomial.collapsed_form(ops, p, coeffs, 1 << i) for i in range(w))
-    out = np.zeros(p.field.size, dtype=np.int64)
-    out[1:] = np.left_shift(1, w - _gf2_ranks(images, w, p.field.order))
-    return out
+    return _kernels_from_images(images, w)
 
 
 def _coset_histogram(size: int, kernel: int) -> dict[int, int]:
-    """The fiber histogram an F_u-linear map with the given kernel size must have."""
+    """The fiber histogram an affine map on `size` points with the given kernel size must have."""
     attained = size // kernel
     hist = {kernel: attained}
     if attained < size:
@@ -189,15 +190,15 @@ def _coset_histogram(size: int, kernel: int) -> dict[int, int]:
 
 
 def cross_check_spectrum(p: BCParams, spec: DerivativeSpectrum) -> None:
-    """Raise CrossCheckError unless histogram and kernel routes agree exactly."""
-    size = p.field.size
+    """Raise CrossCheckError unless the definition and kernel routes agree at every shift."""
     ks = kernel_sizes(p)
-    for a, hist in spec.histograms.items():
-        predicted = _coset_histogram(size, int(ks[a]))
-        if dict(hist) != predicted:
-            raise CrossCheckError(
-                f"shift a={a:#x}: histogram route {dict(hist)} vs kernel route {predicted}"
-            )
+    bad = np.flatnonzero(spec.kernels != ks)
+    if bad.size:
+        a = int(bad[0])
+        raise CrossCheckError(
+            f"shift a={a:#x}: definition route |ker| {int(spec.kernels[a])}"
+            f" vs kernel route {int(ks[a])}"
+        )
 
 
 def _spot_check(p: BCParams, seed: int) -> dict:
@@ -219,13 +220,13 @@ def verify_instance(
 ) -> tuple[int | None, dict]:
     """The whole exact check: (uniform fiber size or None, report with spot check).
 
-    The spectrum cap (never above w = 16: past it the O(4^w) histogram
-    route would take tens of minutes) is checked before any work.  Both
-    routes and the spot check run; any disagreement raises
+    The spectrum cap (never above w = 16: past it the field has no
+    log/exp tables and the scalar value table alone takes tens of
+    seconds) is checked before any work.  Both routes and the spot check
+    run; a failed degree certificate or any disagreement raises
     :class:`CrossCheckError` instead of a verdict.
     """
-    check_degree("spectrum", p.field.w, min(degree_cap, SPECTRUM_DEGREE_CAP))
-    spec = derivative_spectrum(p, degree_cap)
+    spec = derivative_spectrum(p, min(degree_cap, SPECTRUM_DEGREE_CAP))
     cross_check_spectrum(p, spec)
     report = spectrum_report(p, spec)
     report["spot_check"] = _spot_check(p, seed)
@@ -248,7 +249,7 @@ def ddt(p: BCParams, degree_cap: int = DDT_DEGREE_CAP) -> np.ndarray:
     """Full difference distribution table; row a=0 is the conventional [2^w, 0, ...]."""
     check_degree("ddt", p.field.w, degree_cap)
     size = p.field.size
-    ftab = _ftab(p)
+    ftab = np.array(value_table(p), dtype=np.int64)
     xs = np.arange(size)
     table = np.zeros((size, size), dtype=np.int64)
     table[0, 0] = size

@@ -106,11 +106,16 @@ class BCParams:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"params key {key!r}: {exc}") from None
 
-        m = read("m", int)
+        def integer(v):
+            if type(v) is not int:  # not a float, a string or a bool
+                raise TypeError(f"expected a JSON integer, got {v!r}")
+            return v
+
+        m = read("m", integer)
         field = make_field(2 * m, read("modulus_hex", lambda v: int(v, 16)))
         return cls(
             m=m,
-            n=read("n", int),
+            n=read("n", integer),
             field=field,
             c=read("c_hex", field.element_from_hex),
             d=read("d_hex", field.element_from_hex),
@@ -194,11 +199,6 @@ def eval_derivative_linear(p: BCParams, a: int, x: int) -> int:
     two must agree everywhere, and the test suite holds them to that.
     """
     return collapsed_form(p.field, p, derivative_coeffs(p, a), x)
-
-
-def derivative_kernel(p: BCParams, a: int) -> set[int]:
-    """Exhaustive kernel of D_a; always contains F_{2^k} as a subset."""
-    return {x for x in p.field.elements() if eval_derivative_linear(p, a, x) == 0}
 
 
 def default_d(field: Field, m: int) -> int:

@@ -16,6 +16,9 @@ only, not of the arithmetic.
 :func:`span_kernel_sizes` is the span route the library's rank route
 replaced: it spans every D_a from its basis images under the scalar
 ``eval_derivative_linear`` and counts zeros, O(4^w).
+:func:`histogram_spectrum` is the histogram route the library's
+definition route replaced: it bincounts F(x) + F(x + a) over every x for
+every shift, O(4^w), and assumes nothing about the degree of F.
 """
 
 import functools
@@ -23,7 +26,7 @@ from collections import Counter
 
 import numpy as np
 
-from apnforge.differential import _ftab
+from apnforge.differential import value_table
 from apnforge.hexanomial import eval_derivative_linear
 
 
@@ -170,6 +173,31 @@ def mul_const(field, c, arr):
         return np.zeros_like(arr)
     exp, log = exp_log_tables(field)
     return np.where(arr == 0, 0, exp[log[c] + log[arr]])
+
+
+@functools.lru_cache(maxsize=8)
+def _ftab(p):
+    """value_table as a read-only array, cached for the per-shift loops below."""
+    tab = np.array(value_table(p), dtype=np.int64)
+    tab.setflags(write=False)
+    return tab
+
+
+def histogram_spectrum(p):
+    """{a: {fiber size: #b}} for x -> F(x) + F(x + a), every a != 0, by bincount."""
+    size = p.field.size
+    ftab = _ftab(p)
+    xs = np.arange(size)
+    hists = {}
+    for a in range(1, size):
+        shape = np.bincount(np.bincount(ftab ^ ftab[xs ^ a], minlength=size))
+        hists[a] = {int(t): int(cnt) for t, cnt in enumerate(shape) if cnt}
+    return hists
+
+
+def derivative_kernel(p, a):
+    """Exhaustive kernel of D_a; always contains F_{2^k} as a subset."""
+    return {x for x in p.field.elements() if eval_derivative_linear(p, a, x) == 0}
 
 
 def derivative_table(p, a):

@@ -132,7 +132,10 @@ def test_verify_params_file(tmp_path, capsys):
      ({**GOOD_PARAMS, "m": None}, "params key 'm'"),
      ({**GOOD_PARAMS, "c_hex": 11}, "params key 'c_hex'"),
      ({**GOOD_PARAMS, "modulus_hex": 19}, "params key 'modulus_hex'"),
-     ({**GOOD_PARAMS, "n": float("inf")}, "params key 'n'")],
+     ({**GOOD_PARAMS, "n": float("inf")}, "params key 'n'"),
+     ({**GOOD_PARAMS, "m": 2.5}, "params key 'm'"),
+     ({**GOOD_PARAMS, "n": True}, "params key 'n'"),
+     ({**GOOD_PARAMS, "m": "3"}, "params key 'm'")],
 )
 def test_verify_malformed_params_file_is_a_usage_error(tmp_path, capsys, params, message):
     pfile = tmp_path / "params.json"
@@ -215,6 +218,10 @@ PINNED_STDOUT = [
      "0583ca426dea135653c64c99ba1a9af0ca8632d83241c5ff1e14e3b90fbb144d"),
     (("bc-empirical", "--max-2m", "12"), EXIT_OK,
      "da2bc609e6916f243c0822d0a115fb39b2656532c0a0b91dc3c1e414076b2b08"),
+    (("verify", "--m", "7", "--n", "2"), EXIT_OK,
+     "adf40da3547cf61b02f472c7cd26488c9dd31ddab2c5fb134ff194eadad3fa04"),
+    (("verify", "--m", "8", "--n", "1"), EXIT_OK,
+     "c35aa9c36bd7f9c276501492325d4743aceca450557278fc1a5c313eb66f0430"),
 ]
 
 

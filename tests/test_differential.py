@@ -22,7 +22,7 @@ from apnforge.differential import (
 )
 from apnforge.compatibility import compatibility_predicate, find_compatible_c
 from apnforge.field import SizeLimitError, make_field
-from apnforge.hexanomial import BCParams, default_d, derivative_kernel, eval_hexanomial
+from apnforge.hexanomial import BCParams, default_d, eval_hexanomial
 
 
 def params(m, n, c, d=None):
@@ -40,10 +40,9 @@ def test_value_table_matches_pointwise():
 
 def test_spectrum_frozen_apn_instance():
     spec = derivative_spectrum(APN_21)
-    assert set(spec.histograms) == set(range(1, 16))
-    for a in spec.histograms:
-        assert spec.histograms[a] == {0: 8, 2: 8}
-        assert spec.fiber_sizes(a) == {2}
+    assert spec.kernels.tolist() == [0] + [2] * 15
+    for a in range(1, 16):
+        assert spec.histogram(a) == {0: 8, 2: 8}
     assert spec.max_count == 2
     assert spec.uniform_fiber_size() == 2
     assert spec.collapsed_summary() == [
@@ -55,7 +54,7 @@ def test_spectrum_matches_naive_oracle():
     for p in [APN_21, params(2, 2, 5), params(1, 2, 3), params(2, 1, 0)]:
         spec = derivative_spectrum(p)
         for a in range(1, p.field.size):
-            assert spec.histograms[a] == oracle.fiber_histogram(
+            assert spec.histogram(a) == oracle.fiber_histogram(
                 p.m, p.n, p.c, p.d, a, p.field.modulus
             )
 
@@ -64,7 +63,7 @@ def test_spectrum_counts_add_up():
     for p in [APN_21, params(3, 2, 3), params(2, 1, 1)]:
         size = p.field.size
         spec = derivative_spectrum(p)
-        for hist in spec.histograms.values():
+        for hist in map(spec.histogram, range(1, size)):
             assert sum(hist.values()) == size  # one bucket per b
             assert sum(t * cnt for t, cnt in hist.items()) == size  # one slot per x
 
@@ -74,8 +73,8 @@ def test_attained_fiber_sizes_are_even():
     for c in range(4):
         p = params(2, 1, c)
         spec = derivative_spectrum(p)
-        for a in spec.histograms:
-            assert all(t % 2 == 0 for t in spec.fiber_sizes(a))
+        for a in range(1, p.field.size):
+            assert all(t % 2 == 0 for t in spec.histogram(a))
 
 
 def test_incompatible_c_observed_spectrum():
@@ -84,7 +83,7 @@ def test_incompatible_c_observed_spectrum():
     for c in (0, 1, 2, 3):
         p = params(2, 1, c)
         spec = derivative_spectrum(p)
-        attained = {t for a in spec.histograms for t in spec.fiber_sizes(a)}
+        attained = {t for a in range(1, 16) for t in spec.histogram(a) if t}
         assert attained == {2, 4}
         assert spec.max_count == 4
         assert spec.uniform_fiber_size() is None
@@ -96,7 +95,18 @@ def test_kernel_route_matches_exhaustive_kernels():
     for p in [APN_21, params(2, 2, 5), params(2, 1, 3), params(1, 1, 2)]:
         ks = kernel_sizes(p)
         for a in range(1, p.field.size):
-            assert ks[a] == len(derivative_kernel(p, a))
+            assert ks[a] == len(oracle.derivative_kernel(p, a))
+
+
+def _assert_routes_match_oracles(p):
+    """Kernel route vs span oracle, definition route vs kernel route and histogram oracle."""
+    ks = kernel_sizes(p)
+    assert (ks == oracle.span_kernel_sizes(p)).all(), p.to_dict()
+    spec = derivative_spectrum(p)
+    assert (spec.kernels == ks).all(), p.to_dict()
+    hists = oracle.histogram_spectrum(p)
+    assert all(spec.histogram(a) == hists[a] for a in range(1, p.field.size)), p.to_dict()
+    return ks
 
 
 def test_rank_route_matches_span_route():
@@ -104,13 +114,11 @@ def test_rank_route_matches_span_route():
     seen = set()
     for m, n in [(2, 1), (3, 1), (3, 2), (4, 2), (2, 2), (3, 3)]:
         for c in make_field(2 * m).elements():
-            p = params(m, n, c)
-            ks = kernel_sizes(p)
-            assert (ks == oracle.span_kernel_sizes(p)).all(), (m, n, c)
+            ks = _assert_routes_match_oracles(params(m, n, c))
             seen.add(frozenset(ks[1:].tolist()))
     assert seen == {frozenset(s) for s in ({2}, {4}, {8}, {2, 4}, {2, 8}, {4, 16})}
     for p in [params(5, 2, 3), params(6, 1, 2)]:
-        assert (kernel_sizes(p) == oracle.span_kernel_sizes(p)).all()
+        _assert_routes_match_oracles(p)
 
 
 def test_array_ops_match_field_ops():
@@ -186,11 +194,21 @@ def test_r_to_one_for_five_canonical_c_when_m_divides_n():
 
 
 def test_cross_check_raises_on_tampered_histogram():
-    spec = derivative_spectrum(APN_21)
-    bad = dict(spec.histograms)
-    bad[3] = {0: 7, 2: 8, 4: 1}
-    with pytest.raises(CrossCheckError):
-        cross_check_spectrum(APN_21, DerivativeSpectrum(bad, 4))
+    bad = derivative_spectrum(APN_21).kernels.copy()
+    bad[3] = 4
+    with pytest.raises(CrossCheckError, match="shift a=0x3"):
+        cross_check_spectrum(APN_21, DerivativeSpectrum(bad))
+
+
+def test_definition_route_refuses_a_non_quadratic_table(monkeypatch):
+    """x^7 has algebraic degree 3: the degree certificate fails instead of a verdict."""
+    p = params(4, 1, 0)
+    x7 = [p.field.pow(x, 7) for x in p.field.elements()]
+    monkeypatch.setattr(differential, "value_table", lambda p: x7)
+    with pytest.raises(CrossCheckError, match=r"not quadratic: ANF monomial 0x7 \(weight 3\)"):
+        derivative_spectrum(p)
+    with pytest.raises(CrossCheckError, match="ANF monomial"):
+        is_apn(p)
 
 
 def test_is_apn_raises_when_kernel_route_disagrees(monkeypatch):
@@ -263,7 +281,7 @@ def test_ddt_structure():
     spec = derivative_spectrum(APN_21)
     for a in range(1, size):
         hist = {int(t): int(c) for t, c in zip(*np.unique(table[a], return_counts=True))}
-        assert hist == spec.histograms[a]
+        assert hist == spec.histogram(a)
 
 
 def test_ddt_cap():
