@@ -132,10 +132,7 @@ def vanishing_coeff_set(y: int, m: int, n: int, field: Field | None = None) -> s
     """All coefficient values a for which y is a root of the polynomial."""
     field = _context(m, n, field)
     _require_unity_root(field, m, y)
-    ys = field.frobenius(y, n)
-    t = field.mul(ys, y) ^ 1
-    mul, frob = field.mul, field.frobenius
-    return {a for a in field.elements() if t ^ mul(a, ys) ^ mul(frob(a, m), y) == 0}
+    return {a for a in field.elements() if eval_compat_poly(field, m, n, a, y) == 0}
 
 
 def witnesses(y: int, m: int, n: int, field: Field | None = None) -> list[int]:

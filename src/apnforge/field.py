@@ -165,13 +165,8 @@ class Field:
     def check(self, x: int) -> int:
         """Validate x as an element of this field; returns x."""
         if not 0 <= x < self.size:
-            raise FieldMismatchError(f"{x} is not an element of F_2^{self.w}")
+            raise FieldMismatchError(f"{x:#x} is not an element of F_2^{self.w}")
         return x
-
-    def add(self, x: int, y: int) -> int:
-        self.check(x)
-        self.check(y)
-        return x ^ y
 
     def mul(self, x: int, y: int) -> int:
         self.check(x)
@@ -238,13 +233,6 @@ class Field:
     @property
     def modulus_hex(self) -> str:
         return format(self.modulus, f"0{(self.w + 4) // 4}x")
-
-    def spec_dict(self) -> dict:
-        return {
-            "w": self.w,
-            "modulus_hex": self.modulus_hex,
-            "generator_hex": self.element_hex(self.generator),
-        }
 
     def __repr__(self) -> str:
         return f"Field(w={self.w}, modulus={self.modulus:#x})"

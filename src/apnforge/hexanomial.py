@@ -19,10 +19,12 @@ fibers are cosets of its kernel -- the fact that makes exhaustive
 derivative verification cheap.  The six coefficients depend only on
 (params, a); the scalar ones are cached.
 
-The coefficient formula and the six-term pairing order are written once,
-in :func:`collapsed_coeffs` and :func:`collapsed_form`, generic over field
-ops: the scalar :class:`Field` (the spot check) or elementwise array ops
-over every shift (the kernel route in :mod:`apnforge.differential`).
+F itself (:func:`hexanomial_form`), the coefficients of D_a
+(:func:`collapsed_coeffs`) and its six-term pairing order
+(:func:`collapsed_form`) are each written once, generic over field ops:
+the scalar :class:`Field` (:func:`eval_hexanomial`, the spot check) or
+elementwise array ops over every element or shift (the value table and
+the kernel route in :mod:`apnforge.differential`).
 
 F is represented operationally, as evaluation procedures, not as a
 coefficient list.
@@ -122,18 +124,25 @@ class BCParams:
         )
 
 
-def eval_hexanomial(p: BCParams, x: int) -> int:
-    """F(x): six terms, three Frobenius iterates of x."""
-    f = p.field
-    xr = f.frobenius(x, p.m)
-    xs = f.frobenius(x, p.n)
-    xrs = f.frobenius(x, p.m + p.n)
+def _conjugates(f, p: BCParams, x):
+    """(x^r, x^s, x^(rs)) under field ops f."""
+    return f.frobenius(x, p.m), f.frobenius(x, p.n), f.frobenius(x, p.m + p.n)
+
+
+def hexanomial_form(f, p: BCParams, x):
+    """F(x) under field ops f: six terms, three Frobenius iterates of x."""
+    xr, xs, xrs = _conjugates(f, p, x)
     cr = f.frobenius(p.c, p.m)
     return (
         f.mul(x, xs ^ xr ^ f.mul(p.c, xrs))
         ^ f.mul(xs, f.mul(cr, xr) ^ f.mul(p.d, xrs))
         ^ f.mul(xrs, xr)
     )
+
+
+def eval_hexanomial(p: BCParams, x: int) -> int:
+    """F(x) in the scalar field."""
+    return hexanomial_form(p.field, p, x)
 
 
 def eval_derivative(p: BCParams, a: int, x: int) -> int:
@@ -154,9 +163,7 @@ def collapsed_coeffs(f, p: BCParams, a):
     (x + x^s), (x + x^r), (x + x^(rs)), (x^r + x^s), (x^s + x^(rs)),
     (x^(rs) + x^r).
     """
-    ar = f.frobenius(a, p.m)
-    an = f.frobenius(a, p.n)
-    ars = f.frobenius(a, p.m + p.n)
+    ar, an, ars = _conjugates(f, p, a)
     cr = f.frobenius(p.c, p.m)
     return (
         f.mul(an, a),
@@ -171,9 +178,7 @@ def collapsed_coeffs(f, p: BCParams, a):
 def collapsed_form(f, p: BCParams, coeffs, x):
     """D_a(x) from the six coefficients of :func:`collapsed_coeffs`, under field ops f."""
     a1, a2, a3, a4, a5, a6 = coeffs
-    xr = f.frobenius(x, p.m)
-    xs = f.frobenius(x, p.n)
-    xrs = f.frobenius(x, p.m + p.n)
+    xr, xs, xrs = _conjugates(f, p, x)
     return (
         f.mul(a1, x ^ xs)
         ^ f.mul(a2, x ^ xr)

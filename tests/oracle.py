@@ -178,7 +178,7 @@ def mul_const(field, c, arr):
 @functools.lru_cache(maxsize=8)
 def _ftab(p):
     """value_table as a read-only array, cached for the per-shift loops below."""
-    tab = np.array(value_table(p), dtype=np.int64)
+    tab = value_table(p)
     tab.setflags(write=False)
     return tab
 

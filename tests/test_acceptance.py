@@ -247,7 +247,7 @@ def _identity_failures_sampled(p, rng, samples):
         if dx ^ f.frobenius(dx, p.m) != conj:
             failures.append((a, x, "conjugate"))
     # kernel-vs-histogram agreement on sampled shifts
-    ftab = np.array(value_table(p), dtype=np.int64)
+    ftab = value_table(p)
     xs = np.arange(size)
     for a in rng.sample(range(1, size), 50):
         fibers = np.bincount(ftab ^ ftab[xs ^ a], minlength=size)

@@ -153,6 +153,15 @@ def test_verify_ddt_export(tmp_path, capsys):
     rows = ddt_path.read_text().strip().split("\n")
     assert len(rows) == 16
     assert rows[0].split(",")[0] == "16"
+    # File bytes pinned so the write path keeps them byte-identical.
+    for m, n, size, digest in [
+        ("3", "2", 8193, "26ce68611e240749c47b8bfa62931be359bcaa5f98459c26aab19ad5fafacbb6"),
+        ("4", "1", 131074, "b91a35a66b9c8feda8116350f83c42de356a2988eaf48f5805848a60ef3298f1"),
+    ]:
+        code, _, _ = run(capsys, "verify", "--m", m, "--n", n, "--ddt-out", str(ddt_path))
+        assert code == EXIT_OK
+        data = ddt_path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def test_verify_spectrum_cap(capsys):

@@ -1,6 +1,7 @@
 """Spectrum/DDT verification, including the two-route cross-check."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -35,7 +36,18 @@ APN_21 = params(2, 1, 9, 2)
 
 def test_value_table_matches_pointwise():
     tab = value_table(APN_21)
-    assert tab == [eval_hexanomial(APN_21, x) for x in range(16)]
+    assert tab.dtype == np.int64
+    assert tab.tolist() == [eval_hexanomial(APN_21, x) for x in range(16)]
+
+
+def test_value_table_matches_scalar_and_oracle_at_large_w():
+    """Every x at w = 14 and 16; 2000 seeded x against the big-int oracle at w = 18."""
+    for p in [params(7, 2, 3), params(8, 1, 5)]:
+        assert value_table(p).tolist() == [eval_hexanomial(p, x) for x in p.field.elements()]
+    p = params(9, 4, 7)
+    tab = value_table(p)
+    for x in random.Random(18).sample(range(p.field.size), 2000):
+        assert tab[x] == oracle.hexanomial(p.m, p.n, p.c, p.d, x, p.field.modulus), x
 
 
 def test_spectrum_frozen_apn_instance():
@@ -99,7 +111,9 @@ def test_kernel_route_matches_exhaustive_kernels():
 
 
 def _assert_routes_match_oracles(p):
-    """Kernel route vs span oracle, definition route vs kernel route and histogram oracle."""
+    """Value table vs scalar F, kernel route vs span oracle, definition route vs
+    kernel route and histogram oracle."""
+    assert value_table(p).tolist() == [eval_hexanomial(p, x) for x in p.field.elements()]
     ks = kernel_sizes(p)
     assert (ks == oracle.span_kernel_sizes(p)).all(), p.to_dict()
     spec = derivative_spectrum(p)
@@ -161,7 +175,7 @@ def test_translation_histograms_match_derivative_histograms():
     """Fiber sizes of D_a and of x -> F(x)+F(x+a) coincide up to relabeling of b."""
     for p in [APN_21, params(2, 2, 5), params(3, 1, 2), params(1, 3, 1)]:
         size = p.field.size
-        ftab = np.array(value_table(p), dtype=np.int64)
+        ftab = value_table(p)
         xs = np.arange(size)
         for a in range(1, size):
             rescaled = np.bincount(oracle.derivative_table_linear(p, a), minlength=size)
@@ -204,10 +218,21 @@ def test_definition_route_refuses_a_non_quadratic_table(monkeypatch):
     """x^7 has algebraic degree 3: the degree certificate fails instead of a verdict."""
     p = params(4, 1, 0)
     x7 = [p.field.pow(x, 7) for x in p.field.elements()]
-    monkeypatch.setattr(differential, "value_table", lambda p: x7)
+    monkeypatch.setattr(differential, "value_table", lambda p: np.array(x7))
     with pytest.raises(CrossCheckError, match=r"not quadratic: ANF monomial 0x7 \(weight 3\)"):
         derivative_spectrum(p)
     with pytest.raises(CrossCheckError, match="ANF monomial"):
+        is_apn(p)
+
+
+def test_definition_route_refuses_a_table_off_by_an_affine_map(monkeypatch):
+    """F(x) + x is still quadratic; only the weight <= 2 points tie the table to F."""
+    p = params(2, 1, 9)
+    orig = differential.value_table
+    monkeypatch.setattr(differential, "value_table", lambda p: orig(p) ^ np.arange(p.field.size))
+    with pytest.raises(CrossCheckError, match="value table disagrees with F at x=0x1"):
+        derivative_spectrum(p)
+    with pytest.raises(CrossCheckError):
         is_apn(p)
 
 

@@ -100,13 +100,6 @@ def test_inverses():
             f.inv(0)
 
 
-def test_add_is_xor_and_self_cancels():
-    f = make_field(5)
-    for x in f.elements():
-        assert f.add(x, x) == 0
-        assert f.add(x, 0) == x
-
-
 def test_pow_edge_cases():
     f = make_field(4)
     assert f.pow(0, 0) == 1
@@ -222,7 +215,8 @@ def test_element_hex_padding_and_roundtrip():
     assert f.element_from_hex("3f") == 63
     f24 = make_field(24)
     assert f24.element_hex(1) == "000001"
-    with pytest.raises(FieldMismatchError):
+    assert make_field(10).modulus_hex == "409"
+    with pytest.raises(FieldMismatchError, match="0x40 is not an element"):
         f.element_from_hex("40")
 
 
@@ -236,21 +230,11 @@ def test_hex_roundtrip(w, data):
     assert f.element_from_hex(s) == x
 
 
-def test_spec_dict_roundtrip():
-    f = make_field(10)
-    d = f.spec_dict()
-    assert d == {"w": 10, "modulus_hex": "409", "generator_hex": "002"}
-    again = make_field(d["w"], int(d["modulus_hex"], 16))
-    assert again is f
-
-
 def test_field_mismatch_is_detected():
     f4 = make_field(2)
     for bad in (4, -1, 1 << 20):
         with pytest.raises(FieldMismatchError):
             f4.mul(bad, 1)
-        with pytest.raises(FieldMismatchError):
-            f4.add(1, bad)
         with pytest.raises(FieldMismatchError):
             f4.frobenius(bad, 1)
 
