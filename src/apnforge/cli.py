@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Mapping
 
 from .compatibility import (
-    compat_report,
     compatibility_predicate,
     eval_compat_poly,
     find_compatible_c,
@@ -144,6 +143,8 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _resolve_params(args: argparse.Namespace, cfg: RunConfig):
     """(params, provenance dict) for verify."""
     if getattr(args, "params", None):
+        if given := [f"--{k}" for k in "mncd" if getattr(args, k) is not None]:
+            raise ValueError(f"--params cannot be combined with {', '.join(given)}")
         p = BCParams.from_dict(json.loads(Path(args.params).read_text()))
         return p, {"c_source": "params-file", "d_source": "params-file"}
     if args.m is None or args.n is None:
@@ -231,9 +232,7 @@ def _cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_bc_empirical(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.max_2m < 6:
         raise ValueError(f"--max-2m must be at least 6, got {args.max_2m}")
-    ms = range(3, args.max_2m // 2 + 1)
-    fields = {m: make_field(2 * m, cfg.modulus_table.get(2 * m)) for m in ms}
-    rows = [compat_report(m, 1, fld) for m, fld in fields.items()]
+    rows = sweep_reports(range(3, args.max_2m // 2 + 1), [1], cfg.modulus_table)
     text = reports_to_json(rows, "bc-empirical") if cfg.fmt == "json" else reports_to_csv(rows)
     _emit(text, cfg.out)
     return EXIT_OK if all(r.exists_c and r.consistent for r in rows) else EXIT_CHECK_FAILED

@@ -184,15 +184,14 @@ class CompatReport:
         return self.predicate == self.exists_c
 
     def to_dict(self) -> dict:
-        w = self.modulus.bit_length() - 1
-        digits = (w + 3) // 4
+        f = make_field(2 * self.m, self.modulus)
         return {
             "m": self.m,
             "n": self.n,
             "predicate": self.predicate,
             "exists_c": self.exists_c,
-            "found_c_hex": None if self.found_c is None else format(self.found_c, f"0{digits}x"),
-            "modulus_hex": format(self.modulus, f"0{(w + 4) // 4}x"),
+            "found_c_hex": None if self.found_c is None else f.element_hex(self.found_c),
+            "modulus_hex": f.modulus_hex,
             "search_size": self.search_size,
         }
 

@@ -8,9 +8,10 @@ one elimination vectorized over all shifts (:func:`_gf2_ranks`),
 O(w^2 2^w).  They differ only in where the images come from:
 
 * the definition route reads B(a, X^i) = F(a + X^i) + F(a) + F(X^i) + F(0)
-  off a table of F (its formula on array ops), once a Moebius transform
-  has certified the table quadratic and the scalar F has matched it at
-  every x of weight <= 2, the points that fix a quadratic map;
+  off a table of F (its formula on the field's array view), once a
+  Moebius transform has certified the table quadratic and the scalar F
+  has matched it at every x of weight <= 2, the points that fix a
+  quadratic map;
 * the kernel route evaluates D_a(X^i) through the collapsed six-term
   form of :mod:`apnforge.hexanomial`, the form the spot check holds to
   the definition.
@@ -73,8 +74,8 @@ class DerivativeSpectrum:
 
 def value_table(p: BCParams) -> np.ndarray:
     """F at every element, canonical order: one evaluation of F's formula on array ops."""
-    ops = _ArrayOps(p.field.w, p.field.modulus)
-    return hexanomial.hexanomial_form(ops, p, np.arange(p.field.size, dtype=np.int64))
+    f = p.field
+    return hexanomial.hexanomial_form(f.array_ops, p, np.arange(f.size, dtype=np.int64))
 
 
 def check_degree(what: str, w: int, degree_cap: int) -> None:
@@ -119,39 +120,6 @@ def derivative_spectrum(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP) -> D
     return DerivativeSpectrum(_kernels_from_images(images, w))
 
 
-class _ArrayOps:
-    """Elementwise F_{2^w} arithmetic on int64 arrays, from the modulus alone.
-
-    Shift-and-reduce multiply and a Frobenius applied as the F_2-linear
-    map it is, so the same code serves every w up to the field cap (24)
-    and the field's log/exp tables stay private to it.
-    """
-
-    def __init__(self, w: int, modulus: int):
-        self.w = w
-        self.modulus = modulus
-        # _frob[t][j] = (X^j)^(2^t), each row the square of the one before.
-        self._frob = [np.left_shift(1, np.arange(w, dtype=np.int64))]
-        for _ in range(w - 1):
-            self._frob.append(self.mul(self._frob[-1], self._frob[-1]))
-
-    def mul(self, x, y):
-        x = np.asarray(x, dtype=np.int64)
-        acc = np.zeros(np.broadcast_shapes(x.shape, np.shape(y)), dtype=np.int64)
-        for i in range(self.w):
-            acc ^= x & -((y >> i) & 1)
-            x = x << 1
-            x ^= self.modulus & -(x >> self.w)
-        return acc
-
-    def frobenius(self, x, t: int = 1):
-        """x^(2^t): the XOR of the images (X^j)^(2^t) over the set bits j of x."""
-        out = np.zeros(np.shape(x), dtype=np.int64)
-        for j, image in enumerate(self._frob[t % self.w]):
-            out ^= image & -((x >> j) & 1)
-        return out
-
-
 def _gf2_ranks(vectors, w: int, count: int) -> np.ndarray:
     """Rank over F_2 of the w-bit vectors, column by column of `count` columns.
 
@@ -181,8 +149,7 @@ def kernel_sizes(p: BCParams) -> np.ndarray:
     The rank is over the images D_a(X^0..X^(w-1)) of the collapsed form
     in :mod:`apnforge.hexanomial`, evaluated for every shift at once.
     """
-    w = p.field.w
-    ops = _ArrayOps(w, p.field.modulus)
+    w, ops = p.field.w, p.field.array_ops
     coeffs = hexanomial.collapsed_coeffs(ops, p, np.arange(1, p.field.size, dtype=np.int64))
     images = (hexanomial.collapsed_form(ops, p, coeffs, 1 << i) for i in range(w))
     return _kernels_from_images(images, w)

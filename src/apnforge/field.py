@@ -14,11 +14,14 @@ derived constant in reports reproducible; any other irreducible of the
 right degree can be supplied explicitly and is carried in serialized
 output.
 
-For w <= 16 the field builds discrete log/antilog tables once, making
-mul/inv/pow/frobenius O(1); larger fields (up to the configurable degree
-cap, default 24) fall back to shift-and-reduce multiplication.  The
-tables stay private to this module.  Field objects are immutable after
-construction and safe to share.
+This module is the one home of F_{2^w} arithmetic.  Each field builds
+the basis images (X^j)^(2^t) once, so every Frobenius map is one
+F_2-linear map; for w <= 16 private log/antilog tables make scalar
+mul/frobenius O(1), and larger fields (up to the configurable degree
+cap, default 24) multiply by shift-and-reduce.  ``Field.array_ops`` is
+the same arithmetic, unchecked and elementwise, on int64 arrays, in
+operators only: this module imports no numpy.  Field objects are
+immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -77,6 +80,14 @@ def least_irreducible(w: int) -> int:
     raise AssertionError("irreducible polynomials exist in every degree")
 
 
+def _linear(images, x):
+    """The F_2-linear map with images[j] the image of X^j, at x (an int or an int array)."""
+    out = x & 0
+    for j, image in enumerate(images):
+        out ^= image & -((x >> j) & 1)
+    return out
+
+
 def _prime_factors(n: int) -> list[int]:
     out = []
     p = 2
@@ -116,11 +127,16 @@ class Field:
         self.generator = self._find_generator()
         if w <= _TABLE_DEGREE_MAX:
             self._build_tables()
+        # _frob[t][j] = (X^j)^(2^t), each row the square of the one before.
+        self._frob = [[1 << j for j in range(w)]]
+        for _ in range(w - 1):
+            self._frob.append([self.mul(v, v) for v in self._frob[-1]])
+        self.array_ops = _ArrayOps(self)
 
     # -- construction helpers ------------------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
-        """Shift-and-reduce product; used to bootstrap the tables."""
+        """Shift-and-reduce product: bootstraps the tables, and multiplies above their range."""
         top = self.size
         acc = 0
         while b:
@@ -132,19 +148,10 @@ class Field:
                 a ^= self.modulus
         return acc
 
-    def _pow_raw(self, x: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, x)
-            x = self._mul_raw(x, x)
-            e >>= 1
-        return r
-
     def _find_generator(self) -> int:
         primes = _prime_factors(self.order) if self.order > 1 else []
         for g in range(1, self.size):
-            if all(self._pow_raw(g, self.order // p) != 1 for p in primes):
+            if all(self.pow(g, self.order // p) != 1 for p in primes):
                 return g
         raise AssertionError("multiplicative group of a finite field is cyclic")
 
@@ -178,24 +185,25 @@ class Field:
         return self._mul_raw(x, y)
 
     def inv(self, x: int) -> int:
-        self.check(x)
-        if x == 0:
+        if self.check(x) == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._exp is not None:
-            return self._exp[self.order - self._log[x]]
-        return self._pow_raw(x, self.order - 1)
+        return self.pow(x, self.order - 1)
 
     def pow(self, x: int, e: int) -> int:
-        """x**e with 0**0 = 1; e reduces mod 2^w - 1 for nonzero x."""
+        """x**e by square-and-multiply, 0**0 = 1; e reduces mod 2^w - 1 for nonzero x."""
         self.check(x)
         if e < 0:
             raise ValueError(f"exponent must be nonnegative, got {e}")
         if x == 0:
             return 1 if e == 0 else 0
         e %= self.order
-        if self._exp is not None:
-            return self._exp[self._log[x] * e % self.order]
-        return self._pow_raw(x, e)
+        r = 1
+        while e:
+            if e & 1:
+                r = self.mul(r, x)
+            x = self.mul(x, x)
+            e >>= 1
+        return r
 
     def frobenius(self, x: int, t: int = 1) -> int:
         """t-fold Frobenius x -> x^(2^t); t may be any nonnegative int."""
@@ -205,10 +213,7 @@ class Field:
             return x
         if self._exp is not None:
             return self._exp[(self._log[x] << t) % self.order]
-        r = x
-        for _ in range(t):
-            r = self._mul_raw(r, r)
-        return r
+        return _linear(self._frob[t], x)
 
     def in_subfield(self, x: int, d: int) -> bool:
         """Membership in the subfield F_{2^d}; d must divide w."""
@@ -236,6 +241,26 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(w={self.w}, modulus={self.modulus:#x})"
+
+
+class _ArrayOps:
+    """A field's arithmetic, unchecked and elementwise, on int64 arrays or ints."""
+
+    def __init__(self, field: Field):
+        self._w, self._modulus, self._frob = field.w, field.modulus, field._frob
+
+    def mul(self, x, y):
+        """Branchless shift-and-reduce: w steps, whatever the operands' shapes."""
+        acc = (x ^ y) & 0
+        for i in range(self._w):
+            acc ^= x & -((y >> i) & 1)
+            x = x << 1
+            x ^= self._modulus & -(x >> self._w)
+        return acc
+
+    def frobenius(self, x, t: int = 1):
+        """x^(2^t): the XOR of the images (X^j)^(2^t) over the set bits j of x."""
+        return _linear(self._frob[t % self._w], x)
 
 
 @functools.lru_cache(maxsize=None)

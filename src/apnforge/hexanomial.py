@@ -23,8 +23,8 @@ F itself (:func:`hexanomial_form`), the coefficients of D_a
 (:func:`collapsed_coeffs`) and its six-term pairing order
 (:func:`collapsed_form`) are each written once, generic over field ops:
 the scalar :class:`Field` (:func:`eval_hexanomial`, the spot check) or
-elementwise array ops over every element or shift (the value table and
-the kernel route in :mod:`apnforge.differential`).
+its array view ``field.array_ops`` over every element or shift (the
+value table and the kernel route in :mod:`apnforge.differential`).
 
 F is represented operationally, as evaluation procedures, not as a
 coefficient list.

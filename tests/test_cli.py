@@ -125,6 +125,16 @@ def test_verify_params_file(tmp_path, capsys):
     assert doc["params"]["c_hex"] == "b"
 
 
+@pytest.mark.parametrize("flag, value", [("--m", "3"), ("--n", "2"), ("--c", "5"), ("--d", "2")])
+def test_verify_params_file_with_instance_flag_is_a_usage_error(tmp_path, capsys, flag, value):
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps(GOOD_PARAMS))
+    code, out, err = run(capsys, "verify", "--params", str(pfile), flag, value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and f"--params cannot be combined with {flag}" in err
+
+
 @pytest.mark.parametrize(
     "params, message",
     [({"m": 2}, "missing keys ['c_hex', 'd_hex', 'modulus_hex', 'n']"),
@@ -231,6 +241,10 @@ PINNED_STDOUT = [
      "adf40da3547cf61b02f472c7cd26488c9dd31ddab2c5fb134ff194eadad3fa04"),
     (("verify", "--m", "8", "--n", "1"), EXIT_OK,
      "c35aa9c36bd7f9c276501492325d4743aceca450557278fc1a5c313eb66f0430"),
+    (("sweep", "--m-range", "1..4", "--n-range", "1..6", "--format", "csv"), EXIT_OK,
+     "d2c8af65a953a72b92f79ea3b91dad0532ea0739077a60a006b8c6bfe2fa2af1"),
+    (("sweep", "--m-range", "1..3", "--n-range", "1..4"), EXIT_OK,
+     "77c19f82e5d6bf90f32aad54516bef615a6ca0e4a030248f4e849007176cc288"),
 ]
 
 

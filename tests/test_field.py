@@ -1,5 +1,7 @@
 """Field core against the naive polynomial oracle and frozen constants."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,13 @@ def test_mul_matches_oracle_above_table_range():
         for y in xs:
             assert f.mul(x, y) == oracle.gfmul(x, y, f.modulus)
     assert f.mul(f.inv(0x1F2A3), 0x1F2A3) == 1
+    # Above the tables every Frobenius is the linear map on the precomputed basis images.
+    rng = random.Random(17)
+    for w in (17, 24):
+        f = make_field(w)
+        for x in [f.size - 1] + [rng.randrange(f.size) for _ in range(8)]:
+            for t in range(w):
+                assert f.frobenius(x, t) == oracle.gfpow(x, 1 << t, f.modulus), (w, x, t)
 
 
 def test_field_axioms_exhaustive_small():
