@@ -11,8 +11,8 @@ the whole game for this family.
 
 Three views of the same question live here and check each other:
 
-* brute force -- scan all c in canonical order against all of mu_{r+1}
-  (:func:`find_compatible_c`);
+* exhaustive search -- every c in canonical order against all of
+  mu_{r+1}, a chunk of candidates at a time (:func:`find_compatible_c`);
 * the exact closed-form criterion -- compatible c exist iff m > 1 and
   n/m is not an odd integer (:func:`compatibility_predicate`), whose
   integer core is the divisibility fact (2^m + 1) | (2^n + 1) iff n/m is
@@ -21,7 +21,11 @@ Three views of the same question live here and check each other:
   that vanish at y (:func:`vanishing_coeff_set`) and the closed-form
   witnesses inside F_r union mu_{r+1} (:func:`witnesses`).
 
-Everything is deterministic; a sweep re-run must be byte-identical.
+The polynomial is written once (:func:`eval_compat_poly`), generic over
+field ops: the search, :func:`is_compatible_c` and
+:func:`vanishing_coeff_set` evaluate it on the field's array view, the
+witness report on the scalar field.  Everything is deterministic; a
+sweep re-run must be byte-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +36,11 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .field import Field, make_field, roots_of_unity
+
+_SEARCH_CHUNK_PAIRS = 1 << 14
 
 COMPAT_CSV_COLUMNS = (
     "m",
@@ -55,42 +63,42 @@ def _context(m: int, n: int, field: Field | None) -> Field:
     return field
 
 
-def eval_compat_poly(field: Field, m: int, n: int, c: int, y: int) -> int:
-    """y^(s+1) + c y^s + c^r y + 1, via Frobenius iterates only."""
-    ys = field.frobenius(y, n)
-    return field.mul(ys, y) ^ field.mul(c, ys) ^ field.mul(field.frobenius(c, m), y) ^ 1
+def eval_compat_poly(f, m: int, n: int, c, y):
+    """y^(s+1) + c y^s + c^r y + 1 under field ops f, via Frobenius iterates only.
+
+    f is a :class:`Field` (c and y are elements) or its ``array_ops`` (c
+    and y are int64 arrays that broadcast against each other).
+    """
+    ys = f.frobenius(y, n)
+    return f.mul(ys, y) ^ f.mul(c, ys) ^ f.mul(f.frobenius(c, m), y) ^ 1
 
 
-def _unity_triples(field: Field, m: int, n: int) -> list[tuple[int, int, int]]:
-    """(y, y^s, y^(s+1) + 1) for every y in mu_{r+1}."""
-    out = []
-    for y in roots_of_unity(field, (1 << m) + 1):
-        ys = field.frobenius(y, n)
-        out.append((y, ys, field.mul(ys, y) ^ 1))
-    return out
+def _unity_roots(field: Field, m: int) -> np.ndarray:
+    return np.array(roots_of_unity(field, (1 << m) + 1), dtype=np.int64)
 
 
 def is_compatible_c(c: int, m: int, n: int, field: Field | None = None) -> bool:
     """True when no (r+1)-st root of unity vanishes the polynomial at c."""
     field = _context(m, n, field)
     field.check(c)
-    cr = field.frobenius(c, m)
-    for y, ys, t in _unity_triples(field, m, n):
-        if t ^ field.mul(c, ys) ^ field.mul(cr, y) == 0:
-            return False
-    return True
+    return bool(eval_compat_poly(field.array_ops, m, n, c, _unity_roots(field, m)).all())
 
 
 def _search_c(field: Field, m: int, n: int) -> tuple[int | None, int]:
-    """(first compatible c or None, number of candidates examined)."""
-    triples = _unity_triples(field, m, n)
-    mul, frob = field.mul, field.frobenius
-    for c in field.elements():
-        cr = frob(c, m)
-        for y, ys, t in triples:
-            if t ^ mul(c, ys) ^ mul(cr, y) == 0:
-                break
-        else:
+    """(first compatible c or None, number of candidates examined).
+
+    Candidates are taken in canonical order, a chunk at a time, each
+    chunk against every unity root at once: about _SEARCH_CHUNK_PAIRS
+    (c, y) pairs per chunk, so memory stays flat and a found c costs only
+    its own chunk.
+    """
+    roots = _unity_roots(field, m)
+    step = max(1, _SEARCH_CHUNK_PAIRS // len(roots))
+    for lo in range(0, field.size, step):
+        cs = np.arange(lo, min(lo + step, field.size), dtype=np.int64)
+        ok = eval_compat_poly(field.array_ops, m, n, cs[:, None], roots).all(axis=1)
+        if ok.any():
+            c = lo + int(ok.argmax())
             return c, c + 1
     return None, field.size
 
@@ -132,7 +140,8 @@ def vanishing_coeff_set(y: int, m: int, n: int, field: Field | None = None) -> s
     """All coefficient values a for which y is a root of the polynomial."""
     field = _context(m, n, field)
     _require_unity_root(field, m, y)
-    return {a for a in field.elements() if eval_compat_poly(field, m, n, a, y) == 0}
+    values = eval_compat_poly(field.array_ops, m, n, np.arange(field.size, dtype=np.int64), y)
+    return set(np.flatnonzero(values == 0).tolist())
 
 
 def witnesses(y: int, m: int, n: int, field: Field | None = None) -> list[int]:
@@ -166,9 +175,9 @@ def witnesses(y: int, m: int, n: int, field: Field | None = None) -> list[int]:
 class CompatReport:
     """One sweep row: the closed-form criterion against the brute-force search.
 
-    ``search_size`` records how many c candidates were examined -- the
-    scan stops at the first compatible c, so it is found_c + 1 on success
-    and 2^(2m) on exhaustion.
+    ``search_size`` records how many c candidates the search needed -- it
+    stops at the first compatible c, so it is found_c + 1 on success and
+    2^(2m) on exhaustion.
     """
 
     m: int

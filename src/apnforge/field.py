@@ -14,14 +14,15 @@ derived constant in reports reproducible; any other irreducible of the
 right degree can be supplied explicitly and is carried in serialized
 output.
 
-This module is the one home of F_{2^w} arithmetic.  Each field builds
-the basis images (X^j)^(2^t) once, so every Frobenius map is one
-F_2-linear map; for w <= 16 private log/antilog tables make scalar
-mul/frobenius O(1), and larger fields (up to the configurable degree
-cap, default 24) multiply by shift-and-reduce.  ``Field.array_ops`` is
-the same arithmetic, unchecked and elementwise, on int64 arrays, in
-operators only: this module imports no numpy.  Field objects are
-immutable after construction and safe to share.
+This module is the one home of F_{2^w} arithmetic, and it has one
+arithmetic for every degree (up to the configurable cap, default 24):
+a branchless shift-and-reduce multiply, and every Frobenius map as one
+F_2-linear map on basis images (X^j)^(2^t) built once per field.
+``Field.array_ops`` runs that code unchecked and elementwise on int64
+arrays; scalar ``Field.mul``/``frobenius`` are range checks around the
+same code.  It is written in operators only: this module imports no
+numpy.  Field objects are immutable after construction and safe to
+share.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import functools
 
 DEGREE_CAP = 24
-_TABLE_DEGREE_MAX = 16
 
 
 class FieldMismatchError(ValueError):
@@ -56,6 +56,8 @@ def _poly_rem(p: int, m: int) -> int:
 
 def is_irreducible(f: int) -> bool:
     """Trial division by every polynomial of degree 1..deg(f)//2."""
+    if f < 0:
+        raise ValueError(f"polynomial {f:#x} is negative")
     n = _poly_degree(f)
     if n <= 0:
         return False
@@ -78,14 +80,6 @@ def least_irreducible(w: int) -> int:
         if is_irreducible(f):
             return f
     raise AssertionError("irreducible polynomials exist in every degree")
-
-
-def _linear(images, x):
-    """The F_2-linear map with images[j] the image of X^j, at x (an int or an int array)."""
-    out = x & 0
-    for j, image in enumerate(images):
-        out ^= image & -((x >> j) & 1)
-    return out
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -122,31 +116,10 @@ class Field:
         self.modulus = modulus
         self.size = 1 << w
         self.order = self.size - 1
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
+        self.array_ops = _ArrayOps(w, modulus)
         self.generator = self._find_generator()
-        if w <= _TABLE_DEGREE_MAX:
-            self._build_tables()
-        # _frob[t][j] = (X^j)^(2^t), each row the square of the one before.
-        self._frob = [[1 << j for j in range(w)]]
-        for _ in range(w - 1):
-            self._frob.append([self.mul(v, v) for v in self._frob[-1]])
-        self.array_ops = _ArrayOps(self)
 
     # -- construction helpers ------------------------------------------------
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Shift-and-reduce product: bootstraps the tables, and multiplies above their range."""
-        top = self.size
-        acc = 0
-        while b:
-            if b & 1:
-                acc ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= self.modulus
-        return acc
 
     def _find_generator(self) -> int:
         primes = _prime_factors(self.order) if self.order > 1 else []
@@ -154,18 +127,6 @@ class Field:
             if all(self.pow(g, self.order // p) != 1 for p in primes):
                 return g
         raise AssertionError("multiplicative group of a finite field is cyclic")
-
-    def _build_tables(self) -> None:
-        # exp is doubled so that mul/inv index without a modular reduction.
-        exp = [0] * (2 * self.order)
-        log = [0] * self.size
-        v = 1
-        for i in range(self.order):
-            exp[i] = v
-            exp[i + self.order] = v
-            log[v] = i
-            v = self._mul_raw(v, self.generator)
-        self._exp, self._log = exp, log
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -176,13 +137,7 @@ class Field:
         return x
 
     def mul(self, x: int, y: int) -> int:
-        self.check(x)
-        self.check(y)
-        if x == 0 or y == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[x] + self._log[y]]
-        return self._mul_raw(x, y)
+        return self.array_ops.mul(self.check(x), self.check(y))
 
     def inv(self, x: int) -> int:
         if self.check(x) == 0:
@@ -207,13 +162,7 @@ class Field:
 
     def frobenius(self, x: int, t: int = 1) -> int:
         """t-fold Frobenius x -> x^(2^t); t may be any nonnegative int."""
-        self.check(x)
-        t %= self.w
-        if t == 0 or x <= 1:
-            return x
-        if self._exp is not None:
-            return self._exp[(self._log[x] << t) % self.order]
-        return _linear(self._frob[t], x)
+        return self.array_ops.frobenius(self.check(x), t)
 
     def in_subfield(self, x: int, d: int) -> bool:
         """Membership in the subfield F_{2^d}; d must divide w."""
@@ -244,23 +193,35 @@ class Field:
 
 
 class _ArrayOps:
-    """A field's arithmetic, unchecked and elementwise, on int64 arrays or ints."""
+    """A field's arithmetic, unchecked and elementwise, on int64 arrays or ints.
 
-    def __init__(self, field: Field):
-        self._w, self._modulus, self._frob = field.w, field.modulus, field._frob
+    The same operator sequence serves both, so a scalar result is one
+    element of the array result; no step branches on an operand.
+    """
+
+    def __init__(self, w: int, modulus: int):
+        self._w, self._modulus = w, modulus
+        # _frob[t][j] = (X^j)^(2^t), each row the square of the one before.
+        self._frob = [[1 << j for j in range(w)]]
+        for _ in range(w - 1):
+            self._frob.append([self.mul(v, v) for v in self._frob[-1]])
 
     def mul(self, x, y):
         """Branchless shift-and-reduce: w steps, whatever the operands' shapes."""
+        w, modulus = self._w, self._modulus
         acc = (x ^ y) & 0
-        for i in range(self._w):
+        for i in range(w):
             acc ^= x & -((y >> i) & 1)
             x = x << 1
-            x ^= self._modulus & -(x >> self._w)
+            x ^= modulus & -(x >> w)
         return acc
 
     def frobenius(self, x, t: int = 1):
         """x^(2^t): the XOR of the images (X^j)^(2^t) over the set bits j of x."""
-        return _linear(self._frob[t % self._w], x)
+        out = x & 0
+        for j, image in enumerate(self._frob[t % self._w]):
+            out ^= image & -((x >> j) & 1)
+        return out
 
 
 @functools.lru_cache(maxsize=None)

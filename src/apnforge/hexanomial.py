@@ -19,12 +19,15 @@ fibers are cosets of its kernel -- the fact that makes exhaustive
 derivative verification cheap.  The six coefficients depend only on
 (params, a); the scalar ones are cached.
 
-F itself (:func:`hexanomial_form`), the coefficients of D_a
+F itself (:func:`hexanomial_form`), D_a from the definition
+(:func:`derivative_form`), the coefficients of D_a
 (:func:`collapsed_coeffs`) and its six-term pairing order
 (:func:`collapsed_form`) are each written once, generic over field ops:
-the scalar :class:`Field` (:func:`eval_hexanomial`, the spot check) or
-its array view ``field.array_ops`` over every element or shift (the
-value table and the kernel route in :mod:`apnforge.differential`).
+the scalar :class:`Field` (:func:`eval_hexanomial`,
+:func:`eval_derivative`, :func:`eval_derivative_linear`) or its array
+view ``field.array_ops`` over many elements or shifts at once (the
+value table, the kernel route and the spot check in
+:mod:`apnforge.differential`).
 
 F is represented operationally, as evaluation procedures, not as a
 coefficient list.
@@ -145,13 +148,17 @@ def eval_hexanomial(p: BCParams, x: int) -> int:
     return hexanomial_form(p.field, p, x)
 
 
+def derivative_form(f, p: BCParams, a, x):
+    """D_a(x) = F(ax) + F(ax + a) + F(a) straight from the definition, under field ops f."""
+    ax = f.mul(a, x)
+    return hexanomial_form(f, p, ax) ^ hexanomial_form(f, p, ax ^ a) ^ hexanomial_form(f, p, a)
+
+
 def eval_derivative(p: BCParams, a: int, x: int) -> int:
-    """D_a(x) = F(ax) + F(ax + a) + F(a) straight from the definition."""
+    """D_a(x) from the definition in the scalar field."""
     if a == 0:
         raise ValueError("derivative shift a must be nonzero")
-    f = p.field
-    ax = f.mul(a, x)
-    return eval_hexanomial(p, ax) ^ eval_hexanomial(p, ax ^ a) ^ eval_hexanomial(p, a)
+    return derivative_form(p.field, p, a, x)
 
 
 def collapsed_coeffs(f, p: BCParams, a):

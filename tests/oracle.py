@@ -6,19 +6,22 @@ multiply then reduce, exponentiation by squaring on big-int exponents
 library and this module agree, a shared bug would have to be duplicated
 across two very different code paths.
 
-:func:`derivative_table` and the array helpers beneath it are the
-exception: they reuse the library's value table, and their exp/log arrays
-are rebuilt here from the field's public ``generator`` and ``mul`` (the
-library keeps its own table layout private), so they stay fast enough
-for exhaustive loops.  They are independent of the collapsed linear form
-only, not of the arithmetic.
+:class:`TableOps` is the exception: field ops by exp/log lookup, for
+ints and arrays, with the arrays rebuilt here from the field's public
+``generator`` and ``mul``.  The library multiplies by shift-and-reduce
+everywhere, so these tables are an independent arithmetic to hold it
+to, fast enough for exhaustive loops; :func:`derivative_table` also
+reads the library's value table.  :func:`search_c` is the scalar
+scan the library's chunked ``c`` search replaced, one candidate and one
+unity root at a time on the tables.
 
 :func:`span_kernel_sizes` is the span route the library's rank route
-replaced: it spans every D_a from its basis images under the scalar
-``eval_derivative_linear`` and counts zeros, O(4^w).
-:func:`histogram_spectrum` is the histogram route the library's
-definition route replaced: it bincounts F(x) + F(x + a) over every x for
-every shift, O(4^w), and assumes nothing about the degree of F.
+replaced: it spans every D_a from its basis images, computed for all
+shifts at once by the collapsed form on the tables, and counts zeros,
+O(4^w).  :func:`histogram_spectrum` is the histogram route the
+library's definition route replaced: it bincounts F(x) + F(x + a) over
+every x for every shift, O(4^w), and assumes nothing about the degree
+of F.
 """
 
 import functools
@@ -26,8 +29,10 @@ from collections import Counter
 
 import numpy as np
 
+from apnforge.compatibility import eval_compat_poly
 from apnforge.differential import value_table
-from apnforge.hexanomial import eval_derivative_linear
+from apnforge.field import roots_of_unity
+from apnforge.hexanomial import collapsed_coeffs, collapsed_form, eval_derivative_linear
 
 
 def deg(p):
@@ -159,20 +164,31 @@ def exp_log_tables(field):
     return exp, log
 
 
-def frob_array(field, t):
-    """x^(2^t) for every x, as an array."""
-    exp, log = exp_log_tables(field)
-    out = exp[(log[np.arange(field.size)] << (t % field.w)) % field.order]
-    out[0] = 0
-    return out
+class TableOps:
+    """Field ops by exp/log lookup, for ints and int arrays alike: the reference the
+    library's shift-and-reduce arithmetic is held to.  exp is doubled, so mul needs
+    no reduction of the summed logs."""
+
+    def __init__(self, field):
+        self.w, self.order = field.w, field.order
+        self.exp, self.log = exp_log_tables(field)
+
+    def mul(self, x, y):
+        return self.exp[self.log[x] + self.log[y]] * ((x != 0) & (y != 0))
+
+    def frobenius(self, x, t=1):
+        return self.exp[(self.log[x] << (t % self.w)) % self.order] * (x != 0)
 
 
-def mul_const(field, c, arr):
-    """c * arr elementwise; exp is doubled so no reduction is needed."""
-    if c == 0:
-        return np.zeros_like(arr)
-    exp, log = exp_log_tables(field)
-    return np.where(arr == 0, 0, exp[log[c] + log[arr]])
+def search_c(field, m, n):
+    """The scalar scan the library's chunked search replaced, one c and one unity root
+    at a time: (first compatible c or None, number of candidates examined)."""
+    ops = TableOps(field)
+    roots = roots_of_unity(field, (1 << m) + 1)
+    for c in field.elements():
+        if all(eval_compat_poly(ops, m, n, c, y) != 0 for y in roots):
+            return c, c + 1
+    return None, field.size
 
 
 @functools.lru_cache(maxsize=8)
@@ -205,22 +221,40 @@ def derivative_table(p, a):
     if a == 0:
         raise ValueError("derivative shift a must be nonzero")
     ftab = _ftab(p)
-    ax = mul_const(p.field, a, np.arange(p.field.size))
+    ax = TableOps(p.field).mul(a, np.arange(p.field.size))
     return ftab[ax] ^ ftab[ax ^ a] ^ ftab[a]
+
+
+def _span(images):
+    """The F_2-linear map with the given basis images, at every x in canonical order."""
+    table = np.zeros(1, dtype=np.int64)
+    for image in images:
+        table = np.concatenate((table, table ^ image))
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def derivative_images(p):
+    """D_a(X^0..X^(w-1)) for every shift at once, from the collapsed form on the table
+    ops; row a - 1 holds the w images of shift a."""
+    ops = TableOps(p.field)
+    shifts = np.arange(1, p.field.size)[:, None]
+    basis = 1 << np.arange(p.field.w)
+    images = collapsed_form(ops, p, collapsed_coeffs(ops, p, shifts), basis)
+    images.setflags(write=False)
+    return images
 
 
 def derivative_table_linear(p, a):
     """D_a at every x, spanned over F_2 from its images of the basis X^0..X^(w-1)."""
-    table = np.zeros(1, dtype=np.int64)
-    for i in range(p.field.w):
-        table = np.concatenate((table, table ^ eval_derivative_linear(p, a, 1 << i)))
-    return table
+    if a == 0:
+        raise ValueError("derivative shift a must be nonzero")
+    return _span(derivative_images(p)[a - 1])
 
 
 def span_kernel_sizes(p):
     """|ker D_a| for every a (index 0 unused), by counting zeros of the spanned table."""
-    size = p.field.size
-    out = np.zeros(size, dtype=np.int64)
-    for a in range(1, size):
+    out = np.zeros(p.field.size, dtype=np.int64)
+    for a in range(1, p.field.size):
         out[a] = int(np.count_nonzero(derivative_table_linear(p, a) == 0))
     return out

@@ -33,11 +33,12 @@ from apnforge.differential import (
 from apnforge.field import make_field, roots_of_unity
 from apnforge.hexanomial import (
     BCParams,
+    collapsed_coeffs,
+    collapsed_form,
     default_d,
-    eval_derivative,
-    eval_derivative_linear,
+    derivative_form,
 )
-from oracle import derivative_table, derivative_table_linear, frob_array, mul_const
+from oracle import TableOps, derivative_table, derivative_table_linear
 
 SEED = 0x5EED
 
@@ -203,8 +204,9 @@ def _identity_failures_exhaustive(p):
     scalars = [x for x in f.elements() if f.in_subfield(x, p.k)]
     spec = derivative_spectrum(p)
     cross_check_spectrum(p, spec)
-    frob_r = frob_array(f, p.m)
-    conj_base = frob_array(f, p.n)[xs ^ frob_r[xs]]  # (x + x^r)^s
+    ops = TableOps(f)
+    frob_r = ops.frobenius(xs, p.m)
+    conj_base = ops.frobenius(xs ^ frob_r, p.n)  # (x + x^r)^s
     dd = p.d ^ f.frobenius(p.d, p.m)
     failures = []
     for a in range(1, size):
@@ -216,36 +218,37 @@ def _identity_failures_exhaustive(p):
         for lam in scalars:
             if lam < 2:
                 continue
-            if not (dv[mul_const(f, lam, xs)] == mul_const(f, lam, dv)).all():
+            if not (dv[ops.mul(lam, xs)] == ops.mul(lam, dv)).all():
                 failures.append((a, "scaling", lam))
         a_srs = f.mul(f.frobenius(a, p.n), f.frobenius(a, p.m + p.n))
-        if not ((dv ^ frob_r[dv]) == mul_const(f, f.mul(dd, a_srs), conj_base)).all():
+        if not ((dv ^ frob_r[dv]) == ops.mul(f.mul(dd, a_srs), conj_base)).all():
             failures.append((a, "conjugate"))
     return failures
 
 
 def _identity_failures_sampled(p, rng, samples):
-    f = p.field
+    """The exhaustive identities on seeded (a, x, z, lambda) samples, all evaluated at once
+    through the library's generic forms on the field's array view."""
+    f, ops = p.field, p.field.array_ops
     size = f.size
     scalars = [x for x in f.elements() if f.in_subfield(x, p.k)]
     dd = p.d ^ f.frobenius(p.d, p.m)
-    failures = []
-    for _ in range(samples):
-        a = rng.randrange(1, size)
-        x = rng.randrange(size)
-        z = rng.randrange(size)
-        lam = rng.choice(scalars)
-        dx = eval_derivative_linear(p, a, x)
-        if dx != eval_derivative(p, a, x):
-            failures.append((a, x, "forms"))
-        if eval_derivative_linear(p, a, x ^ z) != dx ^ eval_derivative_linear(p, a, z):
-            failures.append((a, x, z, "additivity"))
-        if eval_derivative_linear(p, a, f.mul(lam, x)) != f.mul(lam, dx):
-            failures.append((a, x, lam, "scaling"))
-        a_srs = f.mul(f.frobenius(a, p.n), f.frobenius(a, p.m + p.n))
-        conj = f.mul(f.mul(dd, a_srs), f.frobenius(x ^ f.frobenius(x, p.m), p.n))
-        if dx ^ f.frobenius(dx, p.m) != conj:
-            failures.append((a, x, "conjugate"))
+    draws = [
+        (rng.randrange(1, size), rng.randrange(size), rng.randrange(size), rng.choice(scalars))
+        for _ in range(samples)
+    ]
+    a, x, z, lam = np.array(draws, dtype=np.int64).T
+    coeffs = collapsed_coeffs(ops, p, a)
+    dx = collapsed_form(ops, p, coeffs, x)
+    a_srs = ops.mul(ops.frobenius(a, p.n), ops.frobenius(a, p.m + p.n))
+    conj = ops.mul(ops.mul(dd, a_srs), ops.frobenius(x ^ ops.frobenius(x, p.m), p.n))
+    bad = {
+        "forms": dx != derivative_form(ops, p, a, x),
+        "additivity": collapsed_form(ops, p, coeffs, x ^ z) != dx ^ collapsed_form(ops, p, coeffs, z),
+        "scaling": collapsed_form(ops, p, coeffs, ops.mul(lam, x)) != ops.mul(lam, dx),
+        "conjugate": dx ^ ops.frobenius(dx, p.m) != conj,
+    }
+    failures = [draws[i] + (tag,) for tag, hits in bad.items() for i in np.flatnonzero(hits)]
     # kernel-vs-histogram agreement on sampled shifts
     ftab = value_table(p)
     xs = np.arange(size)

@@ -245,6 +245,12 @@ PINNED_STDOUT = [
      "d2c8af65a953a72b92f79ea3b91dad0532ea0739077a60a006b8c6bfe2fa2af1"),
     (("sweep", "--m-range", "1..3", "--n-range", "1..4"), EXIT_OK,
      "77c19f82e5d6bf90f32aad54516bef615a6ca0e4a030248f4e849007176cc288"),
+    # Rows (11, 1) and (12, 1) find c = 10 and 9, past the search's first chunk.
+    (("bc-empirical", "--max-2m", "24"), EXIT_OK,
+     "318a92b61692cd9fd7dd7684d6c81582c1327c9e50b8d84325ee285eb04fb0ef"),
+    # Every exhaustive row up to w = 14.
+    (("sweep", "--m-range", "1..7", "--n-range", "1..14", "--format", "csv"), EXIT_OK,
+     "ccc9903d445972e327522ef195ca237852663ab44fa72a09155656b886c3fe88"),
 ]
 
 
@@ -332,6 +338,24 @@ def test_modulus_table_errors(tmp_path, capsys):
     reducible.write_text(json.dumps({"4": "15"}))
     code, _, err = run(capsys, "sweep", "--m-range", "2..2", "--modulus-table", str(reducible))
     assert code == EXIT_USAGE
+
+
+def test_negative_modulus_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """"-13" parses to a polynomial with the right degree and constant term; it must
+    be refused, not reduced by forever."""
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps({**GOOD_PARAMS, "modulus_hex": "-13"}))
+    table = tmp_path / "mods.json"
+    table.write_text(json.dumps({"4": "-13"}))
+    sweep = ("sweep", "--m-range", "2..2", "--n-range", "1..1")
+    for argv in [("verify", "--params", str(pfile)), (*sweep, "--modulus-table", str(table))]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and "-0x13 is negative" in err
+    monkeypatch.setenv(ENV_MODULUS_TABLE, str(table))
+    code, out, err = run(capsys, *sweep)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "-0x13 is negative" in err
 
 
 def test_modulus_table_non_string_value_is_a_usage_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from apnforge import compatibility
 from apnforge.compatibility import (
     COMPAT_CSV_COLUMNS,
     CompatReport,
@@ -210,6 +211,26 @@ def test_vanishing_sets_pair_up_when_s_minus_one_divides():
             if y != 1:
                 assert X == vanishing_coeff_set(f.inv(y), m, n, f)
         assert len(union) <= r * (1 + r // 2)
+
+
+def test_search_matches_the_oracle_scan(monkeypatch):
+    """(found_c, search_size) and is_compatible_c against the scalar table scan on every
+    row with m <= 5 and n <= 10, exhaustive rows included.  The search runs with its own
+    chunks and with 50-pair chunks (10, 5, 2 and 1 candidates at m = 2..5), so chunk
+    edges fall inside the scanned range."""
+    for m in range(1, 6):
+        f = make_field(2 * m)
+        for n in range(1, 11):
+            found, size = oracle.search_c(f, m, n)
+            # The scan found every c before `found` incompatible, and `found` compatible.
+            for c in range(size):
+                assert is_compatible_c(c, m, n, f) == (c == found), (m, n, c)
+            for chunk_pairs in (compatibility._SEARCH_CHUNK_PAIRS, 50):
+                with monkeypatch.context() as patch:
+                    patch.setattr(compatibility, "_SEARCH_CHUNK_PAIRS", chunk_pairs)
+                    rep = compat_report(m, n, f)
+                    assert (rep.found_c, rep.search_size) == (found, size), (m, n, chunk_pairs)
+                    assert find_compatible_c(m, n, f) == found
 
 
 def test_compat_report_frozen():

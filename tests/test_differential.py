@@ -23,7 +23,7 @@ from apnforge.differential import (
 )
 from apnforge.compatibility import compatibility_predicate, find_compatible_c
 from apnforge.field import SizeLimitError, make_field
-from apnforge.hexanomial import BCParams, default_d, eval_hexanomial
+from apnforge.hexanomial import BCParams, default_d, eval_derivative_linear, eval_hexanomial
 
 
 def params(m, n, c, d=None):
@@ -40,10 +40,12 @@ def test_value_table_matches_pointwise():
     assert tab.tolist() == [eval_hexanomial(APN_21, x) for x in range(16)]
 
 
-def test_value_table_matches_scalar_and_oracle_at_large_w():
-    """Every x at w = 14 and 16; 2000 seeded x against the big-int oracle at w = 18."""
+def test_value_table_matches_oracles_at_large_w():
+    """Every x at w = 14 and 16 against F on the oracle's table ops; 2000 seeded x against
+    the big-int oracle at w = 18."""
     for p in [params(7, 2, 3), params(8, 1, 5)]:
-        assert value_table(p).tolist() == [eval_hexanomial(p, x) for x in p.field.elements()]
+        xs = np.arange(p.field.size)
+        assert (value_table(p) == hexanomial.hexanomial_form(oracle.TableOps(p.field), p, xs)).all()
     p = params(9, 4, 7)
     tab = value_table(p)
     for x in random.Random(18).sample(range(p.field.size), 2000):
@@ -111,9 +113,10 @@ def test_kernel_route_matches_exhaustive_kernels():
 
 
 def _assert_routes_match_oracles(p):
-    """Value table vs scalar F, kernel route vs span oracle, definition route vs
-    kernel route and histogram oracle."""
-    assert value_table(p).tolist() == [eval_hexanomial(p, x) for x in p.field.elements()]
+    """Value table vs F on the oracle's table ops, kernel route vs span oracle,
+    definition route vs kernel route and histogram oracle."""
+    xs = np.arange(p.field.size)
+    assert (value_table(p) == hexanomial.hexanomial_form(oracle.TableOps(p.field), p, xs)).all()
     ks = kernel_sizes(p)
     assert (ks == oracle.span_kernel_sizes(p)).all(), p.to_dict()
     spec = derivative_spectrum(p)
@@ -136,24 +139,24 @@ def test_rank_route_matches_span_route():
 
 
 def test_array_ops_match_field_ops():
-    """Every pair at w <= 8 and seeded samples at w = 16 against the scalar table path;
-    seeded samples at w = 18 and 24 against the oracle, since there the scalar Field
-    reads the same Frobenius images as the array view."""
+    """Every pair at w <= 8 and seeded samples at w = 16 against the oracle's table ops;
+    seeded samples at w = 18 and 24 against the big-int oracle.  The scalar Field runs
+    the array view's own code, so only the oracle is an independent comparison."""
     for w in range(1, 9):
         f = make_field(w)
-        ops = f.array_ops
+        ops, ref = f.array_ops, oracle.TableOps(f)
         xs = np.arange(f.size)
         for y in f.elements():
-            assert ops.mul(xs, y).tolist() == [f.mul(x, y) for x in f.elements()]
+            assert (ops.mul(xs, y) == ref.mul(xs, y)).all()
         for t in range(2 * w):
-            assert ops.frobenius(xs, t).tolist() == [f.frobenius(x, t) for x in f.elements()]
+            assert (ops.frobenius(xs, t) == ref.frobenius(xs, t)).all()
     rng = np.random.default_rng(7)
     for w in (16, 18, 24):
         f = make_field(w)
         ops = f.array_ops
         xs, ys = rng.integers(0, f.size, size=(2, 2000))
         pairs = list(zip(xs.tolist(), ys.tolist()))
-        mul, frob = (f.mul, f.frobenius) if w == 16 else (
+        mul, frob = (oracle.TableOps(f).mul, oracle.TableOps(f).frobenius) if w == 16 else (
             lambda x, y: oracle.gfmul(x, y, f.modulus),
             lambda x, t: oracle.gfpow(x, 1 << t, f.modulus),
         )
@@ -252,8 +255,12 @@ def test_is_apn_raises_when_kernel_route_disagrees(monkeypatch):
 
 
 def test_is_apn_runs_the_spot_check(monkeypatch):
-    monkeypatch.setattr(differential, "eval_derivative", lambda p, a, x: 1)
-    with pytest.raises(CrossCheckError, match="forms disagree"):
+    """A wrong defining form fails the spot check, which names the first bad sample."""
+    rng = random.Random(0)
+    samples = [(rng.randrange(1, 16), rng.randrange(16)) for _ in range(1000)]
+    a, x = next((a, x) for a, x in samples if eval_derivative_linear(APN_21, a, x) != x ^ 1)
+    monkeypatch.setattr(hexanomial, "derivative_form", lambda f, p, a, x: x ^ 1)
+    with pytest.raises(CrossCheckError, match=f"forms disagree at a={a:#x}, x={x:#x}$"):
         is_apn(APN_21)
 
 

@@ -64,16 +64,16 @@ def test_mul_matches_oracle_exhaustively():
 
 
 def test_mul_matches_oracle_above_table_range():
-    """w = 17 has no log/exp tables, exercising the shift-and-reduce path."""
+    """Sampled products at w = 17, and every Frobenius at every w above the exhaustive
+    range (9..24), against the big-int oracle."""
     f = make_field(17)
     xs = [1, 2, 0x1F2A3, 0x0BEEF, f.generator, f.size - 1]
     for x in xs:
         for y in xs:
             assert f.mul(x, y) == oracle.gfmul(x, y, f.modulus)
     assert f.mul(f.inv(0x1F2A3), 0x1F2A3) == 1
-    # Above the tables every Frobenius is the linear map on the precomputed basis images.
     rng = random.Random(17)
-    for w in (17, 24):
+    for w in range(9, 25):
         f = make_field(w)
         for x in [f.size - 1] + [rng.randrange(f.size) for _ in range(8)]:
             for t in range(w):
@@ -269,6 +269,16 @@ def test_modulus_validation():
         make_field(4, 0x12)  # zero constant term
     with pytest.raises(ValueError):
         make_field(4, 0x7)  # wrong degree
+
+
+def test_negative_polynomials_are_rejected():
+    """-0x13 has the degree and constant term of a modulus; reducing by it never ends."""
+    with pytest.raises(ValueError, match="-0x13 is negative"):
+        is_irreducible(-0x13)
+    with pytest.raises(ValueError, match="-0x13 is negative"):
+        Field(4, -0x13)
+    with pytest.raises(ValueError, match="negative"):
+        make_field(4, -0x13)
 
 
 def test_alternative_modulus_changes_arithmetic():
