@@ -11,8 +11,9 @@ the whole game for this family.
 
 Three views of the same question live here and check each other:
 
-* exhaustive search -- every c in canonical order against all of
-  mu_{r+1}, a chunk of candidates at a time (:func:`find_compatible_c`);
+* exhaustive search -- the least c, in canonical order, whose polynomial
+  vanishes at no root of mu_{r+1} (:func:`find_compatible_c`), read off
+  the union of each root's vanishing coset instead of a candidate scan;
 * the exact closed-form criterion -- compatible c exist iff m > 1 and
   n/m is not an odd integer (:func:`compatibility_predicate`), whose
   integer core is the divisibility fact (2^m + 1) | (2^n + 1) iff n/m is
@@ -22,10 +23,10 @@ Three views of the same question live here and check each other:
   witnesses inside F_r union mu_{r+1} (:func:`witnesses`).
 
 The polynomial is written once (:func:`eval_compat_poly`), generic over
-field ops: the search, :func:`is_compatible_c` and
-:func:`vanishing_coeff_set` evaluate it on the field's array view, the
-witness report on the scalar field.  Everything is deterministic; a
-sweep re-run must be byte-identical.
+field ops: the search and :func:`vanishing_coeff_set` evaluate it at
+c = 0, X^0, ..., X^(w-1) and :func:`is_compatible_c` at one c, on the
+field's array view, the witness report on the scalar field.  Everything
+is deterministic; a sweep re-run must be byte-identical.
 """
 
 from __future__ import annotations
@@ -38,9 +39,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .field import Field, make_field, roots_of_unity
+from .differential import gf2_reduce
+from .field import Field, SizeLimitError, make_field, roots_of_unity
 
-_SEARCH_CHUNK_PAIRS = 1 << 14
+# Values per array in either step of the c search: w + 1 per root in the
+# elimination, up to 2^(kernel dimension) per root when marking.
+_CHUNK_VALUES = 1 << 14
 
 COMPAT_CSV_COLUMNS = (
     "m",
@@ -84,21 +88,72 @@ def is_compatible_c(c: int, m: int, n: int, field: Field | None = None) -> bool:
     return bool(eval_compat_poly(field.array_ops, m, n, c, _unity_roots(field, m)).all())
 
 
+def _cosets(field: Field, m: int, n: int, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each root's vanishing set as (least, kernel): one GF(2) elimination over the roots.
+
+    c -> P(c, y) + P(0, y) is F_2-linear, so the c with P(c, y) = 0 form a
+    coset of its kernel, or none.  The images of X^0, X^1, ... join the
+    elimination in that order, tagged by their index in bits w..2w-1, so a
+    dependent image's tags are a kernel element whose leading bit is its own
+    index: kernel[i] (0 where there is none) is an echelon basis.  The
+    target P(0, y), marked by bit 2w so that a solvable target never
+    leaves residue 0, reduces to a particular solution.  Its tags come from
+    independent images only, so it is 0 at every leading bit of the kernel
+    basis: it is already the coset's least element (least is 2^w when the
+    set is empty).
+    """
+    w = field.w
+    if w > 31:  # the tags take bits w..2w of an int64
+        raise SizeLimitError(f"c search for w={w} exceeds 31")
+    units = np.array([1 << i for i in range(w)] + [0], dtype=np.int64)[:, None]
+    vectors = eval_compat_poly(field.array_ops, m, n, units, roots)
+    vectors[:w] ^= vectors[w]  # the linear part's images; row w is the target
+    vectors |= np.left_shift(1, np.arange(w, 2 * w + 1))[:, None]
+    basis = np.zeros((w, len(roots)), dtype=np.int64)
+    *kernel, target = (r >> w for r in gf2_reduce(vectors, basis))
+    return target ^ field.size, np.array(kernel, dtype=np.int32)
+
+
+def _coset_elements(least: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """least XOR every combination of the kernel rows, for each column, flat (an
+    element of two cosets appears twice)."""
+    values, owner = least, np.arange(len(least))
+    for row in kernel:
+        delta = row[owner]
+        has = np.flatnonzero(delta)
+        values = np.concatenate((values, values[has] ^ delta[has]))
+        owner = np.concatenate((owner, owner[has]))
+    return values
+
+
 def _search_c(field: Field, m: int, n: int) -> tuple[int | None, int]:
     """(first compatible c or None, number of candidates examined).
 
-    Candidates are taken in canonical order, a chunk at a time, each
-    chunk against every unity root at once: about _SEARCH_CHUNK_PAIRS
-    (c, y) pairs per chunk, so memory stays flat and a found c costs only
-    its own chunk.
+    The c below 2^k that vanish at y are least XOR the span of the kernel
+    rows with leading bit below k when least < 2^k, and none otherwise.
+    Window k = 0, 1, ... marks them for every root; the first window with
+    an unmarked c holds the least compatible c, so a found c costs the
+    window of its own bit length.  Both steps take the roots a chunk at a
+    time, about _CHUNK_VALUES values per array.
     """
+    w = field.w
     roots = _unity_roots(field, m)
-    step = max(1, _SEARCH_CHUNK_PAIRS // len(roots))
-    for lo in range(0, field.size, step):
-        cs = np.arange(lo, min(lo + step, field.size), dtype=np.int64)
-        ok = eval_compat_poly(field.array_ops, m, n, cs[:, None], roots).all(axis=1)
-        if ok.any():
-            c = lo + int(ok.argmax())
+    least = np.empty(len(roots), dtype=np.int64)
+    kernel = np.empty((w, len(roots)), dtype=np.int32)
+    step = max(1, _CHUNK_VALUES // (w + 1))
+    for lo in range(0, len(roots), step):
+        part = slice(lo, lo + step)
+        least[part], kernel[:, part] = _cosets(field, m, n, roots[part])
+    for k in range(w + 1):
+        marked = np.zeros(1 << k, dtype=bool)
+        live = np.flatnonzero(least < 1 << k)
+        dim = np.count_nonzero(kernel[:k, live], axis=0).max(initial=0)
+        step = max(1, _CHUNK_VALUES >> int(dim))
+        for lo in range(0, len(live), step):
+            part = live[lo : lo + step]
+            marked[_coset_elements(least[part], kernel[:k, part])] = True
+        if not marked.all():
+            c = int(marked.argmin())
             return c, c + 1
     return None, field.size
 
@@ -137,11 +192,11 @@ def _require_unity_root(field: Field, m: int, y: int) -> None:
 
 
 def vanishing_coeff_set(y: int, m: int, n: int, field: Field | None = None) -> set[int]:
-    """All coefficient values a for which y is a root of the polynomial."""
+    """All coefficient values a for which y is a root of the polynomial: a coset, or empty."""
     field = _context(m, n, field)
     _require_unity_root(field, m, y)
-    values = eval_compat_poly(field.array_ops, m, n, np.arange(field.size, dtype=np.int64), y)
-    return set(np.flatnonzero(values == 0).tolist())
+    least, kernel = _cosets(field, m, n, np.array([y], dtype=np.int64))
+    return set(_coset_elements(least, kernel).tolist()) if least[0] < field.size else set()
 
 
 def witnesses(y: int, m: int, n: int, field: Field | None = None) -> list[int]:
@@ -173,11 +228,10 @@ def witnesses(y: int, m: int, n: int, field: Field | None = None) -> list[int]:
 
 @dataclass(frozen=True)
 class CompatReport:
-    """One sweep row: the closed-form criterion against the brute-force search.
+    """One sweep row: the closed-form criterion against the exhaustive search.
 
-    ``search_size`` records how many c candidates the search needed -- it
-    stops at the first compatible c, so it is found_c + 1 on success and
-    2^(2m) on exhaustion.
+    ``search_size`` counts the c candidates in canonical order up to the
+    first compatible one: found_c + 1 on success and 2^(2m) on exhaustion.
     """
 
     m: int

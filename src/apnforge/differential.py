@@ -4,7 +4,7 @@ Every exponent of F has binary weight at most 2, so F is quadratic and
 each derivative is affine: its nonzero fibers are cosets of one kernel,
 whose size fixes the fiber histogram.  Two routes give |ker| for every
 shift a != 0 as 2^(w - rank), with the F_2-rank of w basis images from
-one elimination vectorized over all shifts (:func:`_gf2_ranks`),
+one elimination vectorized over all shifts (:func:`gf2_reduce`),
 O(w^2 2^w).  They differ only in where the images come from:
 
 * the definition route reads B(a, X^i) = F(a + X^i) + F(a) + F(X^i) + F(0)
@@ -121,26 +121,35 @@ def derivative_spectrum(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP) -> D
     return DerivativeSpectrum(_kernels_from_images(images, w))
 
 
-def _gf2_ranks(vectors, w: int, count: int) -> np.ndarray:
-    """Rank over F_2 of the w-bit vectors, column by column of `count` columns.
+def gf2_reduce(vectors, basis: np.ndarray):
+    """Reduce each vector against `basis` in turn and yield its residue (Gaussian
+    elimination over F_2), vectorized over the columns.
 
-    Each vector joins a basis indexed by leading bit (Gaussian
-    elimination), vectorized over the columns: O(w) steps per vector.
+    basis[b] holds, column by column, a vector whose leading bit is b, or 0.
+    Only bits below len(basis) pivot; higher bits ride along as tags, so a
+    dependent vector's residue tags the combination of earlier vectors that
+    cancels it.  A vector left with a nonzero low part joins the basis at its
+    leading bit and yields 0.
     """
-    basis = np.zeros((w, count), dtype=np.int64)
+    w = len(basis)
+    low = (1 << w) - 1
     for v in vectors:
         for b in reversed(range(w)):
-            bit = (v >> b) & 1
-            row = basis[b]
-            np.copyto(row, v, where=(bit == 1) & (row == 0))
-            v = v ^ (row & -bit)
-    return np.count_nonzero(basis, axis=0)
+            v = v ^ (basis[b] & -((v >> b) & 1))
+        new = np.flatnonzero(v & low)
+        lead = np.frexp(v[new] & low)[1] - 1  # x = mantissa * 2^exponent, mantissa in [0.5, 1)
+        basis[lead, new] = v[new]
+        v[new] = 0
+        yield v
 
 
 def _kernels_from_images(images, w: int) -> np.ndarray:
     """2^(w - rank) at every shift 1..2^w - 1 from its w basis images; index 0 unused."""
+    basis = np.zeros((w, (1 << w) - 1), dtype=np.int64)
+    for _ in gf2_reduce(images, basis):
+        pass
     kernels = np.zeros(1 << w, dtype=np.int64)
-    kernels[1:] = np.left_shift(1, w - _gf2_ranks(images, w, (1 << w) - 1))
+    kernels[1:] = np.left_shift(1, w - np.count_nonzero(basis, axis=0))
     return kernels
 
 

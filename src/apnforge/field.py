@@ -20,14 +20,17 @@ a branchless shift-and-reduce multiply, and every Frobenius map as one
 F_2-linear map on basis images (X^j)^(2^t) built once per field.
 ``Field.array_ops`` runs that code unchecked and elementwise on int64
 arrays; scalar ``Field.mul``/``frobenius`` are range checks around the
-same code.  It is written in operators only: this module imports no
-numpy.  Field objects are immutable after construction and safe to
+same code, which is written in operators only, so it serves ints and
+arrays alike; :func:`roots_of_unity` builds its powers on the array
+view.  Field objects are immutable after construction and safe to
 share.
 """
 
 from __future__ import annotations
 
 import functools
+
+import numpy as np
 
 DEGREE_CAP = 24
 
@@ -54,8 +57,9 @@ def _poly_rem(p: int, m: int) -> int:
     return p
 
 
+@functools.lru_cache(maxsize=None)
 def is_irreducible(f: int) -> bool:
-    """Trial division by every polynomial of degree 1..deg(f)//2."""
+    """Trial division by every polynomial of degree 1..deg(f)//2, once per polynomial."""
     if f < 0:
         raise ValueError(f"polynomial {f:#x} is negative")
     n = _poly_degree(f)
@@ -250,11 +254,10 @@ def roots_of_unity(field: Field, n: int) -> list[int]:
     if n < 1 or field.order % n:
         raise ValueError(f"{n} does not divide multiplicative order {field.order}")
     h = field.pow(field.generator, field.order // n)
-    out = set()
-    z = 1
-    for _ in range(n):
-        out.add(z)
-        z = field.mul(z, h)
-    roots = sorted(out)
+    powers, step = np.ones(1, dtype=np.int64), h  # h^0..h^(j-1) and h^j, doubling j
+    while len(powers) < n:
+        powers = np.concatenate((powers, field.array_ops.mul(powers, step)))
+        step = field.mul(step, step)
+    roots = sorted(set(powers[:n].tolist()))
     assert len(roots) == n, "generator must have full multiplicative order"
     return roots

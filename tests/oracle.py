@@ -11,9 +11,11 @@ ints and arrays, with the arrays rebuilt here from the field's public
 ``generator`` and ``mul``.  The library multiplies by shift-and-reduce
 everywhere, so these tables are an independent arithmetic to hold it
 to, fast enough for exhaustive loops; :func:`derivative_table` also
-reads the library's value table.  :func:`search_c` is the scalar
-scan the library's chunked ``c`` search replaced, one candidate and one
-unity root at a time on the tables.
+reads the library's value table.  :func:`search_c` and
+:func:`array_search_c` scan every candidate ``c`` against every unity
+root, one pair at a time or a chunk of candidates at a time on the
+tables, and :func:`vanishing_coeff_set` evaluates every candidate at
+one root: the brute force the library's coset search replaced.
 
 :func:`span_kernel_sizes` is the span route the library's rank route
 replaced: it spans every D_a from its basis images, computed for all
@@ -181,14 +183,35 @@ class TableOps:
 
 
 def search_c(field, m, n):
-    """The scalar scan the library's chunked search replaced, one c and one unity root
-    at a time: (first compatible c or None, number of candidates examined)."""
+    """The scalar scan, one c and one unity root at a time on the tables: (first
+    compatible c or None, number of candidates examined)."""
     ops = TableOps(field)
     roots = roots_of_unity(field, (1 << m) + 1)
     for c in field.elements():
         if all(eval_compat_poly(ops, m, n, c, y) != 0 for y in roots):
             return c, c + 1
     return None, field.size
+
+
+def array_search_c(field, m, n):
+    """The same scan on arrays, a chunk of candidates against every unity root at once
+    (about 2^16 pairs), fast enough for the exhausted rows up to m = 8."""
+    ops = TableOps(field)
+    roots = np.array(roots_of_unity(field, (1 << m) + 1))
+    step = max(1, (1 << 16) // len(roots))
+    for lo in range(0, field.size, step):
+        cs = np.arange(lo, min(lo + step, field.size))
+        ok = (eval_compat_poly(ops, m, n, cs[:, None], roots) != 0).all(axis=1)
+        if ok.any():
+            c = lo + int(ok.argmax())
+            return c, c + 1
+    return None, field.size
+
+
+def vanishing_coeff_set(field, m, n, y):
+    """Every c with P(c, y) = 0, by evaluating all 2^w candidates on the tables."""
+    values = eval_compat_poly(TableOps(field), m, n, np.arange(field.size), y)
+    return set(np.flatnonzero(values == 0).tolist())
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,6 +1,7 @@
 """Compatibility criterion, searches, witnesses, and report plumbing."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from apnforge.compatibility import (
     vanishing_coeff_set,
     witnesses,
 )
-from apnforge.field import make_field, roots_of_unity
+from apnforge.field import SizeLimitError, make_field, roots_of_unity
 
 # Compatible coefficients for (m, n) = (2, 1) over X^4+X+1, frozen from
 # the oracle's full 16-element scan.
@@ -216,8 +217,9 @@ def test_vanishing_sets_pair_up_when_s_minus_one_divides():
 def test_search_matches_the_oracle_scan(monkeypatch):
     """(found_c, search_size) and is_compatible_c against the scalar table scan on every
     row with m <= 5 and n <= 10, exhaustive rows included.  The search runs with its own
-    chunks and with 50-pair chunks (10, 5, 2 and 1 candidates at m = 2..5), so chunk
-    edges fall inside the scanned range."""
+    chunks and with 40-value chunks (from m = 3 on, each elimination takes a few of the
+    roots, and each marking step 40 >> dim of them), so chunk edges fall inside the root
+    list."""
     for m in range(1, 6):
         f = make_field(2 * m)
         for n in range(1, 11):
@@ -225,12 +227,60 @@ def test_search_matches_the_oracle_scan(monkeypatch):
             # The scan found every c before `found` incompatible, and `found` compatible.
             for c in range(size):
                 assert is_compatible_c(c, m, n, f) == (c == found), (m, n, c)
-            for chunk_pairs in (compatibility._SEARCH_CHUNK_PAIRS, 50):
+            for chunk in (compatibility._CHUNK_VALUES, 40):
                 with monkeypatch.context() as patch:
-                    patch.setattr(compatibility, "_SEARCH_CHUNK_PAIRS", chunk_pairs)
+                    patch.setattr(compatibility, "_CHUNK_VALUES", chunk)
                     rep = compat_report(m, n, f)
-                    assert (rep.found_c, rep.search_size) == (found, size), (m, n, chunk_pairs)
+                    assert (rep.found_c, rep.search_size) == (found, size), (m, n, chunk)
                     assert find_compatible_c(m, n, f) == found
+
+
+def test_search_matches_the_array_scan_up_to_m_8():
+    """Every row with m = 6..8, n <= 16 (the exhausted (6, 6), (7, 7), (8, 8) included)
+    against the brute-force array scan on the tables."""
+    for m in range(6, 9):
+        f = make_field(2 * m)
+        for n in range(1, 17):
+            rep = compat_report(m, n, f)
+            assert (rep.found_c, rep.search_size) == oracle.array_search_c(f, m, n), (m, n)
+            assert rep.consistent
+
+
+def test_search_exhausts_odd_ratio_rows_beyond_the_oracle():
+    for m in (9, 10):
+        rep = compat_report(m, m)
+        assert (rep.exists_c, rep.consistent, rep.search_size) == (False, True, 1 << 2 * m)
+
+
+def test_exhausted_row_at_the_field_cap_stays_within_memory():
+    """(12, 12) marks all 2^24 candidates; the chunks keep its peak allocation bounded."""
+    make_field(24)
+    tracemalloc.start()
+    try:
+        rep = compat_report(12, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.exists_c, rep.consistent, rep.search_size) == (False, True, 1 << 24)
+    assert peak < 64 << 20, peak
+
+
+def test_search_refuses_fields_beyond_its_tag_width():
+    """Above w = 31 the elimination's tags would overflow an int64; refuse, never misreport."""
+    f = make_field(32, degree_cap=32)
+    with pytest.raises(SizeLimitError, match="w=32 exceeds 31"):
+        compat_report(16, 1, f)
+    with pytest.raises(SizeLimitError, match="w=32 exceeds 31"):
+        vanishing_coeff_set(1, 16, 1, f)
+
+
+def test_vanishing_set_matches_the_full_evaluation():
+    """The enumerated coset against all 2^w evaluations, every unity root, m <= 4, n <= 8."""
+    for m in range(1, 5):
+        f = make_field(2 * m)
+        for n in range(1, 9):
+            for y in roots_of_unity(f, (1 << m) + 1):
+                assert vanishing_coeff_set(y, m, n, f) == oracle.vanishing_coeff_set(f, m, n, y)
 
 
 def test_compat_report_frozen():

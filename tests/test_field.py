@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from apnforge import field as field_module
 from apnforge.field import (
     Field,
     FieldMismatchError,
@@ -48,6 +49,17 @@ def test_least_irreducible_is_actually_least():
 def test_is_irreducible_agrees_with_product_oracle():
     for f in range(2, 1 << 9):
         assert is_irreducible(f) == oracle.irreducible_by_products(f)
+
+
+def test_field_build_does_not_divide_its_modulus_again(monkeypatch):
+    """least_irreducible(24) has trial-divided the modulus; building the field on it
+    divides nothing more (each trial division reduces by polynomials in _poly_rem)."""
+    modulus = least_irreducible(24)
+    divided = []
+    rem = field_module._poly_rem
+    monkeypatch.setattr(field_module, "_poly_rem", lambda p, g: divided.append(p) or rem(p, g))
+    assert Field(24).modulus == modulus
+    assert divided == []
 
 
 def test_f16_single_reduction_example():
