@@ -25,7 +25,7 @@ import os
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .compatibility import (
     compatibility_predicate,
@@ -43,8 +43,8 @@ from .differential import (
     SPOT_CHECK_SAMPLES,  # re-exported: the traced benchmark replay reads it from here
     CrossCheckError,
     check_degree,
-    ddt,
-    ddt_to_csv,
+    csv_block,
+    ddt_blocks,
     verify_instance,
 )
 from .field import FieldMismatchError, SizeLimitError, make_field
@@ -110,12 +110,13 @@ class RunConfig:
         )
 
 
-def _write_file(path: str, text: str) -> None:
-    """Write text to path by a temp file beside it and a rename: no partial file on failure."""
+def _write_file(path: str, blocks: Iterable[bytes]) -> None:
+    """Write byte blocks to path by a temp file beside it and a rename: no partial file."""
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with tmp.open("wb") as fh:
+            fh.writelines(blocks)
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -126,7 +127,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _write_file(out, text)
+        _write_file(out, [text.encode()])
 
 
 def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -189,7 +190,7 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     report.update({"kind": "verify", "status": "ok", **meta, "spot_check": spot})
     _emit(json.dumps(report, indent=2) + "\n", cfg.out)
     if args.ddt_out is not None:
-        _write_file(args.ddt_out, ddt_to_csv(ddt(p, cfg.cap_ddt)))
+        _write_file(args.ddt_out, map(csv_block, ddt_blocks(p, cfg.cap_ddt)))
     return EXIT_OK if report["verdicts"]["is_2k_to_one"] else EXIT_CHECK_FAILED
 
 

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: outputs, exit codes, config plumbing."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from apnforge.cli import (
     main,
     parse_range,
 )
+from apnforge.differential import CrossCheckError
 
 
 def run(capsys, *argv):
@@ -156,22 +159,41 @@ def test_verify_malformed_params_file_is_a_usage_error(tmp_path, capsys, params,
     assert err.startswith("error: ") and message in err
 
 
-def test_verify_ddt_export(tmp_path, capsys):
+def test_verify_ddt_export(tmp_path, capsys, monkeypatch):
     ddt_path = tmp_path / "ddt.csv"
     code, _, _ = run(capsys, "verify", "--m", "2", "--n", "1", "--ddt-out", str(ddt_path))
     assert code == EXIT_OK
     rows = ddt_path.read_text().strip().split("\n")
     assert len(rows) == 16
     assert rows[0].split(",")[0] == "16"
-    # File bytes pinned so the write path keeps them byte-identical.
-    for m, n, size, digest in [
-        ("3", "2", 8193, "26ce68611e240749c47b8bfa62931be359bcaa5f98459c26aab19ad5fafacbb6"),
-        ("4", "1", 131074, "b91a35a66b9c8feda8116350f83c42de356a2988eaf48f5805848a60ef3298f1"),
-    ]:
-        code, _, _ = run(capsys, "verify", "--m", m, "--n", n, "--ddt-out", str(ddt_path))
-        assert code == EXIT_OK
-        data = ddt_path.read_bytes()
-        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+    # File bytes pinned so the write path keeps them byte-identical, also with
+    # blocks of 1 and 3 rows, whose edges fall mid-table.  (4, 4) has 256 in
+    # row 0 and 0s and 16s elsewhere: cell widths differ inside and across blocks.
+    for block_rows in (None, 1, 3):
+        for m, n, size, digest in [
+            ("3", "2", 8193, "26ce68611e240749c47b8bfa62931be359bcaa5f98459c26aab19ad5fafacbb6"),
+            ("4", "1", 131074, "b91a35a66b9c8feda8116350f83c42de356a2988eaf48f5805848a60ef3298f1"),
+            ("4", "4", 135154, "206f5e714d9c614c9db915526c9d24d1a4ba10ffd208565678f2ff8ea9511435"),
+        ]:
+            if block_rows is not None:
+                monkeypatch.setattr(differential, "_DDT_BLOCK_CELLS", block_rows << 2 * int(m))
+            code, _, _ = run(capsys, "verify", "--m", m, "--n", n, "--ddt-out", str(ddt_path))
+            assert code == EXIT_OK
+            data = ddt_path.read_bytes()
+            assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest), block_rows
+
+
+def test_ddt_export_holds_blocks_not_the_table(tmp_path, capsys):
+    """At w = 10 the whole int32 table alone would take 4 MiB; the stream stays below it."""
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "verify", "--m", "5", "--n", "2",
+                         "--ddt-out", str(tmp_path / "ddt.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 4 << 20, peak
 
 
 def test_verify_spectrum_cap(capsys):
@@ -378,17 +400,45 @@ def test_out_path_io_error(tmp_path, capsys):
     (("verify", "--m", "2", "--n", "1"), "--ddt-out"),
 ])
 def test_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch, argv, flag):
-    write_text = Path.write_text
+    path_open = Path.open
 
-    def fail_partway(self, data, *args, **kwargs):
-        write_text(self, data[: len(data) // 2], *args, **kwargs)
-        raise OSError(28, "No space left on device")
+    class FullDisk(io.FileIO):
+        """Takes half of the first write, then fails as a full disk does."""
 
-    monkeypatch.setattr(Path, "write_text", fail_partway)
+        def write(self, data):
+            super().write(bytes(data)[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    def open_full_disk(self, mode="r", *args, **kwargs):
+        return FullDisk(self, mode) if "w" in mode else path_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_full_disk)
     target = tmp_path / "report.out"
     code, _, err = run(capsys, *argv, flag, str(target))
     assert code == EXIT_IO
     assert "No space left" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc, exit_code", [
+    (OSError(28, "No space left on device"), EXIT_IO),
+    (CrossCheckError("rows disagree"), EXIT_CHECK_FAILED),
+])
+def test_ddt_stream_failing_after_its_first_block_leaves_no_file(
+    tmp_path, capsys, monkeypatch, exc, exit_code
+):
+    target = tmp_path / "ddt.csv"
+    tmp = tmp_path / f".ddt.csv.{os.getpid()}.tmp"
+
+    def first_block_then_fail(p, degree_cap):
+        yield next(differential.ddt_blocks(p, degree_cap))
+        assert tmp.exists()  # the stream is being written, not collected first
+        raise exc
+
+    monkeypatch.setattr(cli, "ddt_blocks", first_block_then_fail)
+    code, _, err = run(capsys, "verify", "--m", "3", "--n", "1", "--ddt-out", str(target))
+    assert code == exit_code
+    assert str(exc) in err
     assert list(tmp_path.iterdir()) == []
 
 

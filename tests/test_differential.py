@@ -329,6 +329,31 @@ def test_ddt_cap():
         ddt(p)
 
 
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+def test_ddt_blocks_match_the_definition(monkeypatch, block_rows):
+    """delta(a, b) = #{x : F(x + a) + F(x) = b} counted point by point on the oracle's F,
+    and its CSV joined cell by cell; blocks of 1 and 3 rows put edges mid-table."""
+    p = params(3, 2, 5)  # not 2^k-to-one: counts of several widths
+    size = p.field.size
+    f = [oracle.hexanomial(p.m, p.n, p.c, p.d, x, p.field.modulus) for x in range(size)]
+    expected = np.zeros((size, size), dtype=np.int32)
+    for a in range(size):
+        for x in range(size):
+            expected[a, f[x ^ a] ^ f[x]] += 1
+    if block_rows is not None:
+        monkeypatch.setattr(differential, "_DDT_BLOCK_CELLS", block_rows * size)
+    blocks = list(differential.ddt_blocks(p))
+    assert all(b.dtype == np.int32 for b in blocks)
+    if block_rows is not None:
+        assert [len(b) for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
+    assert (np.concatenate(blocks) == expected).all()
+    assert (ddt(p) == expected).all()
+    assert len(set(expected.ravel().tolist())) > 2
+    lines = "".join(",".join(map(str, row)) + "\n" for row in expected.tolist())
+    assert ddt_to_csv(expected) == lines
+    assert b"".join(map(differential.csv_block, blocks)) == lines.encode()
+
+
 def test_ddt_csv_roundtrip():
     table = ddt(APN_21)
     text = ddt_to_csv(table)
