@@ -39,8 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .differential import gf2_reduce
-from .field import Field, SizeLimitError, make_field, roots_of_unity
+from .field import Field, SizeLimitError, gf2_reduce, make_field, roots_of_unity
 
 # Values per array in either step of the c search: w + 1 per root in the
 # elimination, up to 2^(kernel dimension) per root when marking.

@@ -12,10 +12,10 @@ O(w^2 2^w).  They differ only in where the images come from:
   Moebius transform has certified the table quadratic and the scalar F
   has matched it at every x of weight <= 2, the points that fix a
   quadratic map;
-* the kernel route evaluates D_a(X^i) through the collapsed six-term
-  form of :mod:`apnforge.hexanomial`, the form the spot check holds to
-  the definition (both forms of D_a on seeded (a, x) pairs, evaluated
-  at once on the field's array view).
+* the kernel route evaluates D_a(X^i) through the linearized form
+  l0 x + lr x^r + ls x^s + lrs x^(rs) of :mod:`apnforge.hexanomial`,
+  the form the spot check holds to the definition (both forms of D_a
+  on seeded (a, x) pairs, evaluated at once on the field's array view).
 
 They must agree at every shift, or :class:`CrossCheckError` replaces the
 verdict; the test suite holds each route to its own oracle as well.  A
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hexanomial
-from .field import SizeLimitError
+from .field import SizeLimitError, gf2_reduce
 from .hexanomial import BCParams, eval_hexanomial
 
 SPECTRUM_DEGREE_CAP = 16
@@ -53,7 +53,9 @@ class DerivativeSpectrum:
     kernels: np.ndarray
 
     def histogram(self, a: int) -> dict[int, int]:
-        """{fiber size: #b} for x -> F(x) + F(x + a)."""
+        """{fiber size: #b} for x -> F(x) + F(x + a), a in 1..2^w - 1."""
+        if not 0 < a < len(self.kernels):
+            raise ValueError(f"shift a={a} outside 1..{len(self.kernels) - 1}")
         return _coset_histogram(len(self.kernels), int(self.kernels[a]))
 
     @property
@@ -122,28 +124,6 @@ def derivative_spectrum(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP) -> D
     return DerivativeSpectrum(_kernels_from_images(images, w))
 
 
-def gf2_reduce(vectors, basis: np.ndarray):
-    """Reduce each vector against `basis` in turn and yield its residue (Gaussian
-    elimination over F_2), vectorized over the columns.
-
-    basis[b] holds, column by column, a vector whose leading bit is b, or 0.
-    Only bits below len(basis) pivot; higher bits ride along as tags, so a
-    dependent vector's residue tags the combination of earlier vectors that
-    cancels it.  A vector left with a nonzero low part joins the basis at its
-    leading bit and yields 0.
-    """
-    w = len(basis)
-    low = (1 << w) - 1
-    for v in vectors:
-        for b in reversed(range(w)):
-            v = v ^ (basis[b] & -((v >> b) & 1))
-        new = np.flatnonzero(v & low)
-        lead = np.frexp(v[new] & low)[1] - 1  # x = mantissa * 2^exponent, mantissa in [0.5, 1)
-        basis[lead, new] = v[new]
-        v[new] = 0
-        yield v
-
-
 def _kernels_from_images(images, w: int) -> np.ndarray:
     """2^(w - rank) at every shift 1..2^w - 1 from its w basis images; index 0 unused."""
     basis = np.zeros((w, (1 << w) - 1), dtype=np.int64)
@@ -157,7 +137,7 @@ def _kernels_from_images(images, w: int) -> np.ndarray:
 def kernel_sizes(p: BCParams) -> np.ndarray:
     """|ker D_a| = 2^(w - rank) for every a (index 0 unused); the kernel route.
 
-    The rank is over the images D_a(X^0..X^(w-1)) of the collapsed form
+    The rank is over the images D_a(X^0..X^(w-1)) of the linearized form
     in :mod:`apnforge.hexanomial`, evaluated for every shift at once.
     """
     w, ops = p.field.w, p.field.array_ops
@@ -188,7 +168,7 @@ def cross_check_spectrum(p: BCParams, spec: DerivativeSpectrum) -> None:
 
 
 def _spot_check(p: BCParams, seed: int) -> dict:
-    """Seeded (a, x) samples on which the defining and collapsed forms of D_a must agree."""
+    """Seeded (a, x) samples on which the defining and linearized forms of D_a must agree."""
     rng = random.Random(seed)
     size = p.field.size
     a, x = np.array(
@@ -214,10 +194,10 @@ def verify_instance(
 
     The spectrum cap is checked before any work and never exceeds w = 16,
     because both rank routes hold all 2^w shifts at once, unchunked (at
-    w = 20 the kernel route alone takes about 17 s and the run about
-    300 MiB).  Both routes and the spot check run; a failed degree
-    certificate or any disagreement raises :class:`CrossCheckError`
-    instead of a verdict.
+    w = 20 the kernel route alone takes about 19 s and the run about
+    300 MiB on a 2-core Xeon).  Both routes and the spot check run; a
+    failed degree certificate or any disagreement raises
+    :class:`CrossCheckError` instead of a verdict.
     """
     spec = derivative_spectrum(p, min(degree_cap, SPECTRUM_DEGREE_CAP))
     cross_check_spectrum(p, spec)

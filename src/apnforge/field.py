@@ -22,8 +22,9 @@ F_2-linear map on basis images (X^j)^(2^t) built once per field.
 arrays; scalar ``Field.mul``/``frobenius`` are range checks around the
 same code, which is written in operators only, so it serves ints and
 arrays alike; :func:`roots_of_unity` builds its powers on the array
-view.  Field objects are immutable after construction and safe to
-share.
+view.  :func:`gf2_reduce` is the one F_2 elimination, shared by the c
+search and both rank routes.  Field objects are immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
@@ -226,6 +227,28 @@ class _ArrayOps:
         for j, image in enumerate(self._frob[t % self._w]):
             out ^= image & -((x >> j) & 1)
         return out
+
+
+def gf2_reduce(vectors, basis: np.ndarray):
+    """Reduce each vector against `basis` in turn and yield its residue (Gaussian
+    elimination over F_2), vectorized over the columns.
+
+    basis[b] holds, column by column, a vector whose leading bit is b, or 0.
+    Only bits below len(basis) pivot; higher bits ride along as tags, so a
+    dependent vector's residue tags the combination of earlier vectors that
+    cancels it.  A vector left with a nonzero low part joins the basis at its
+    leading bit and yields 0.
+    """
+    w = len(basis)
+    low = (1 << w) - 1
+    for v in vectors:
+        for b in reversed(range(w)):
+            v = v ^ (basis[b] & -((v >> b) & 1))
+        new = np.flatnonzero(v & low)
+        lead = np.frexp(v[new] & low)[1] - 1  # x = mantissa * 2^exponent, mantissa in [0.5, 1)
+        basis[lead, new] = v[new]
+        v[new] = 0
+        yield v
 
 
 @functools.lru_cache(maxsize=None)

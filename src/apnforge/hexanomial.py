@@ -12,16 +12,18 @@ For a nonzero shift a, the rescaled derivative
 
     D_a(x) = F(a x) + F(a x + a) + F(a)
 
-collapses (the degree-(s+1)r terms cancel) to a sum of six terms of the
-form coeff * (x^(2^i) + x^(2^j)).  Each such difference is linear over
-F_{2^k}, k = gcd(m, n), so D_a is a F_{2^k}-linear map whose nonzero
-fibers are cosets of its kernel -- the fact that makes exhaustive
-derivative verification cheap.  The six coefficients depend only on
-(params, a); the scalar ones are cached.
+collapses (the degree-(s+1)r terms cancel) to the linearized polynomial
+l0 x + lr x^r + ls x^s + lrs x^(rs), each coefficient one conjugate of
+a times F's partial derivative in that conjugate.  Each x^(2^t), t in
+{m, n, m+n}, is linear over F_{2^k}, k = gcd(m, n), because k divides
+m and n; so D_a is a F_{2^k}-linear map whose nonzero fibers are cosets
+of its kernel -- the fact that makes exhaustive derivative verification
+cheap.  The coefficients depend only on (params, a); the scalar ones
+are cached.
 
 F itself (:func:`hexanomial_form`), D_a from the definition
 (:func:`derivative_form`), the coefficients of D_a
-(:func:`collapsed_coeffs`) and its six-term pairing order
+(:func:`collapsed_coeffs`) and the four-term sum they weight
 (:func:`collapsed_form`) are each written once, generic over field ops:
 the scalar :class:`Field` (:func:`eval_hexanomial`,
 :func:`eval_derivative`, :func:`eval_derivative_linear`) or its array
@@ -162,50 +164,38 @@ def eval_derivative(p: BCParams, a: int, x: int) -> int:
 
 
 def collapsed_coeffs(f, p: BCParams, a):
-    """The six coefficients of the collapsed form of D_a, under field ops f.
+    """(l0, lr, ls, lrs): D_a(x) = l0 x + lr x^r + ls x^s + lrs x^(rs), under field ops f.
 
     f is the scalar :class:`Field` (a is one shift) or elementwise array
     ops (a is an array of shifts); both provide ``mul`` and ``frobenius``.
-    Pairing order matches :func:`collapsed_form`:
-    (x + x^s), (x + x^r), (x + x^(rs)), (x^r + x^s), (x^s + x^(rs)),
-    (x^(rs) + x^r).
     """
     ar, an, ars = _conjugates(f, p, a)
     cr = f.frobenius(p.c, p.m)
     return (
-        f.mul(an, a),
-        f.mul(ar, a),
-        f.mul(p.c, f.mul(ars, a)),
-        f.mul(cr, f.mul(ar, an)),
-        f.mul(p.d, f.mul(an, ars)),
-        f.mul(ars, ar),
+        f.mul(a, an ^ ar ^ f.mul(p.c, ars)),
+        f.mul(ar, a ^ f.mul(cr, an) ^ ars),
+        f.mul(an, a ^ f.mul(cr, ar) ^ f.mul(p.d, ars)),
+        f.mul(ars, f.mul(p.c, a) ^ f.mul(p.d, an) ^ ar),
     )
 
 
 def collapsed_form(f, p: BCParams, coeffs, x):
-    """D_a(x) from the six coefficients of :func:`collapsed_coeffs`, under field ops f."""
-    a1, a2, a3, a4, a5, a6 = coeffs
+    """D_a(x) from the four coefficients of :func:`collapsed_coeffs`, under field ops f."""
+    l0, lr, ls, lrs = coeffs
     xr, xs, xrs = _conjugates(f, p, x)
-    return (
-        f.mul(a1, x ^ xs)
-        ^ f.mul(a2, x ^ xr)
-        ^ f.mul(a3, x ^ xrs)
-        ^ f.mul(a4, xr ^ xs)
-        ^ f.mul(a5, xs ^ xrs)
-        ^ f.mul(a6, xrs ^ xr)
-    )
+    return f.mul(l0, x) ^ f.mul(lr, xr) ^ f.mul(ls, xs) ^ f.mul(lrs, xrs)
 
 
 @functools.lru_cache(maxsize=1 << 18)
-def derivative_coeffs(p: BCParams, a: int) -> tuple[int, int, int, int, int, int]:
-    """The six coefficients of the collapsed form of D_a in the scalar field."""
+def derivative_coeffs(p: BCParams, a: int) -> tuple[int, int, int, int]:
+    """The four coefficients of the linearized form of D_a in the scalar field."""
     if a == 0:
         raise ValueError("derivative shift a must be nonzero")
     return collapsed_coeffs(p.field, p, a)
 
 
 def eval_derivative_linear(p: BCParams, a: int, x: int) -> int:
-    """D_a(x) through the collapsed six-term linear form.
+    """D_a(x) through the four-term linearized form.
 
     Independent of :func:`eval_derivative` past the shared field ops; the
     two must agree everywhere, and the test suite holds them to that.

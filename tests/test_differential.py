@@ -64,6 +64,13 @@ def test_spectrum_frozen_apn_instance():
     ]
 
 
+@pytest.mark.parametrize("a", [0, -1, 64])
+def test_histogram_refuses_shift_outside_the_field(a):
+    spec = derivative_spectrum(params(3, 2, 3))  # w = 6: shifts 1..63
+    with pytest.raises(ValueError, match=rf"a={a}\b.*1\.\.63"):
+        spec.histogram(a)
+
+
 def test_spectrum_matches_naive_oracle():
     for p in [APN_21, params(2, 2, 5), params(1, 2, 3), params(2, 1, 0)]:
         spec = derivative_spectrum(p)
