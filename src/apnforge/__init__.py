@@ -3,7 +3,7 @@
 Construction of the six-term family, exact existence analysis for the
 compatibility coefficient c, and exhaustive differential verification of
 the 2^gcd(m,n)-to-one derivative structure -- all at desk scale, all
-deterministic.
+deterministic.  The names imported below are the public ones.
 """
 
 from .compatibility import (
@@ -44,34 +44,3 @@ from .hexanomial import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BCParams",
-    "CompatReport",
-    "CrossCheckError",
-    "DerivativeSpectrum",
-    "Field",
-    "FieldMismatchError",
-    "SizeLimitError",
-    "compat_report",
-    "compatibility_predicate",
-    "ddt",
-    "default_d",
-    "derivative_spectrum",
-    "divisibility_criterion",
-    "eval_compat_poly",
-    "eval_derivative",
-    "eval_derivative_linear",
-    "eval_hexanomial",
-    "find_compatible_c",
-    "is_apn",
-    "is_compatible_c",
-    "is_irreducible",
-    "is_t_to_one",
-    "least_irreducible",
-    "make_field",
-    "roots_of_unity",
-    "sweep_reports",
-    "vanishing_coeff_set",
-    "witnesses",
-]

@@ -44,9 +44,10 @@ from .differential import (
     CrossCheckError,
     csv_block,
     ddt_blocks,
+    spectrum_report,
     verify_instance,
 )
-from .field import FieldMismatchError, SizeLimitError, make_field
+from .field import make_field
 from .hexanomial import BCParams, default_d
 
 EXIT_OK = 0
@@ -184,9 +185,10 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     p, meta = _resolve_params(args, cfg)
     # ddt_blocks refuses w over the cap at the call, so before the spectrum's work
     ddt_rows = None if args.ddt_out is None else ddt_blocks(p, cfg.cap_ddt)
-    _, report = verify_instance(p, cfg.cap_spectrum, cfg.seed)
-    spot = report.pop("spot_check")
-    report.update({"kind": "verify", "status": "ok", **meta, "spot_check": spot})
+    spec, spot = verify_instance(p, cfg.cap_spectrum, cfg.seed)
+    report = {
+        **spectrum_report(p, spec), "kind": "verify", "status": "ok", **meta, "spot_check": spot
+    }
     _emit(json.dumps(report, indent=2) + "\n", cfg.out)
     if ddt_rows is not None:
         _write_file(args.ddt_out, map(csv_block, ddt_rows))
@@ -297,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except CrossCheckError as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (SizeLimitError, FieldMismatchError, ValueError) as exc:
+    except ValueError as exc:  # SizeLimitError and FieldMismatchError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

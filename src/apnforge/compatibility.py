@@ -179,9 +179,7 @@ def divisibility_criterion(m: int, n: int) -> tuple[bool, bool]:
 
 def compatibility_predicate(m: int, n: int) -> bool:
     """Exact criterion: compatible c exist iff m > 1 and n/m is not an odd integer."""
-    if m < 1 or n < 1:
-        raise ValueError(f"m, n must be positive, got ({m}, {n})")
-    return m > 1 and not (n % m == 0 and (n // m) % 2 == 1)
+    return not divisibility_criterion(m, n)[1] and m > 1  # the call first: it checks m, n
 
 
 def _require_unity_root(field: Field, m: int, y: int) -> None:

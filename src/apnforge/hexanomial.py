@@ -207,7 +207,5 @@ def default_d(field: Field, m: int) -> int:
     """Least element outside F_{2^m}: the canonical d for reproducible runs."""
     if field.w != 2 * m:
         raise ValueError(f"field degree {field.w} does not match 2m = {2 * m}")
-    for x in field.elements():
-        if not field.in_subfield(x, m):
-            return x
-    raise AssertionError("F_2^(2m) strictly contains F_2^m")
+    # 0 and 1 lie in every subfield; X = 2 in none, as its minimal polynomial is the modulus
+    return 2

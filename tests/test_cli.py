@@ -245,6 +245,15 @@ def test_verify_criterion_guard_is_a_cross_check_failure(capsys, monkeypatch):
     assert "criterion excludes" in err
 
 
+def test_verify_search_guard_is_a_cross_check_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "find_compatible_c", lambda m, n, fld: None)
+    code, out, err = run(capsys, "verify", "--m", "2", "--n", "1")
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert ("criterion promises a compatible c for (m, n) = (2, 1)"
+            " but the exhaustive search found none") in err
+
+
 # stdout of fixed invocations, pinned so refactors keep reports byte-identical.
 PINNED_STDOUT = [
     (("verify", "--m", "3", "--n", "2"), EXIT_OK,

@@ -101,6 +101,16 @@ def test_predicate_is_divisibility_in_disguise():
             assert divides == odd_ratio
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: compatibility_predicate(0, 3), r"m, n must be positive, got \(0, 3\)"),
+    (lambda: find_compatible_c(0, 1), r"m, n must be positive, got \(0, 1\)"),
+    (lambda: is_compatible_c(0, 2, 1, make_field(6)), "field degree 6 does not match 2m = 4"),
+])
+def test_entry_checks_refuse_bad_m_n_or_field(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_divisibility_frozen_examples():
     assert divisibility_criterion(1, 3) == (True, True)
     assert divisibility_criterion(2, 6) == (True, True)

@@ -287,6 +287,21 @@ def test_verify_instance_refuses_w_above_16_before_any_work(monkeypatch):
         differential.verify_instance(params(9, 1, 0, 2), degree_cap=18)
 
 
+def test_verify_instance_returns_the_spectrum_and_the_spot_check():
+    spec, spot = differential.verify_instance(APN_21, seed=7)
+    assert isinstance(spec, DerivativeSpectrum)
+    assert np.array_equal(spec.kernels, derivative_spectrum(APN_21).kernels)
+    assert spot == {"seed": 7, "samples": differential.SPOT_CHECK_SAMPLES, "agree": True}
+
+
+def test_library_verdicts_build_no_report(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("a library verdict built a report")
+
+    monkeypatch.setattr(differential, "spectrum_report", must_not_run)
+    assert is_apn(APN_21)
+
+
 def test_is_t_to_one_verdicts():
     assert is_t_to_one(APN_21, 2)
     assert not is_t_to_one(APN_21, 4)

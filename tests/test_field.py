@@ -274,6 +274,15 @@ def test_make_field_degree_cap():
         make_field(0)
 
 
+def test_degree_zero_is_refused():
+    """No field has degree 0; the constant polynomial 1 is not irreducible either."""
+    assert not is_irreducible(1)
+    with pytest.raises(ValueError, match="field degree must be positive, got 0"):
+        Field(0)
+    with pytest.raises(ValueError, match="degree must be positive, got 0"):
+        least_irreducible(0)
+
+
 def test_modulus_validation():
     with pytest.raises(ValueError):
         make_field(4, 0x15)  # (X^2+X+1)^2
