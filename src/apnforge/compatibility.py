@@ -14,6 +14,8 @@ Three views of the same question live here and check each other:
 * exhaustive search -- the least c, in canonical order, whose polynomial
   vanishes at no root of mu_{r+1} (:func:`find_compatible_c`), read off
   the union of each root's vanishing coset instead of a candidate scan;
+  a sweep decides every n of one m in one search, the (n, root) pairs
+  sharing each elimination (:func:`sweep_reports`);
 * the exact closed-form criterion -- compatible c exist iff m > 1 and
   n/m is not an odd integer (:func:`compatibility_predicate`), whose
   integer core is the divisibility fact (2^m + 1) | (2^n + 1) iff n/m is
@@ -70,7 +72,8 @@ def eval_compat_poly(f, m: int, n: int, c, y):
     """y^(s+1) + c y^s + c^r y + 1 under field ops f, via Frobenius iterates only.
 
     f is a :class:`Field` (c and y are elements) or its ``array_ops`` (c
-    and y are int64 arrays that broadcast against each other).
+    and y are int64 arrays that broadcast against each other; n may be an
+    int64 array too, one n per y, since n enters only through y^s).
     """
     ys = f.frobenius(y, n)
     return f.mul(ys, y) ^ f.mul(c, ys) ^ f.mul(f.frobenius(c, m), y) ^ 1
@@ -87,8 +90,11 @@ def is_compatible_c(c: int, m: int, n: int, field: Field | None = None) -> bool:
     return bool(eval_compat_poly(field.array_ops, m, n, c, _unity_roots(field, m)).all())
 
 
-def _cosets(field: Field, m: int, n: int, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cosets(field: Field, m: int, n, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each root's vanishing set as (least, kernel): one GF(2) elimination over the roots.
+
+    n is an int or an int64 array of one n per root: the columns may be the
+    (n, root) pairs of several n.
 
     c -> P(c, y) + P(0, y) is F_2-linear, so the c with P(c, y) = 0 form a
     coset of its kernel, or none.  The images of X^0, X^1, ... join the
@@ -125,42 +131,66 @@ def _coset_elements(least: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return values
 
 
-def _search_c(field: Field, m: int, n: int) -> tuple[int | None, int]:
-    """(first compatible c or None, number of candidates examined).
+def _search_c(field: Field, m: int, ns: Sequence[int]) -> list[tuple[int | None, int]]:
+    """(first compatible c or None, number of candidates examined) for each n in ns.
 
-    The c below 2^k that vanish at y are least XOR the span of the kernel
-    rows with leading bit below k when least < 2^k, and none otherwise.
-    Window k = 0, 1, ... marks them for every root; the first window with
-    an unmarked c holds the least compatible c, so a found c costs the
-    window of its own bit length.  Both steps take the roots a chunk at a
-    time, about _CHUNK_VALUES values per array.
+    n enters the polynomial only through y^s, so the (n, root) pairs of
+    several n share one elimination as its columns.  The n go in groups
+    whose columns fill about one elimination chunk (one n at least, its
+    roots then a chunk at a time), so no array holds more than about
+    _CHUNK_VALUES values.
     """
-    w = field.w
-    roots = _unity_roots(field, m)
-    least = np.empty(len(roots), dtype=np.int64)
-    kernel = np.empty((w, len(roots)), dtype=np.int32)
+    w, roots = field.w, _unity_roots(field, m)
     step = max(1, _CHUNK_VALUES // (w + 1))
-    for lo in range(0, len(roots), step):
-        part = slice(lo, lo + step)
-        least[part], kernel[:, part] = _cosets(field, m, n, roots[part])
+    per_group = max(1, step // len(roots))
+    found = []
+    for lo in range(0, len(ns), per_group):
+        group = np.array(ns[lo : lo + per_group], dtype=np.int64)
+        col_n, col_y = np.repeat(group, len(roots)), np.tile(roots, len(group))
+        least = np.empty(len(col_y), dtype=np.int64)
+        kernel = np.empty((w, len(col_y)), dtype=np.int32)
+        for first in range(0, len(col_y), step):
+            part = slice(first, first + step)
+            least[part], kernel[:, part] = _cosets(field, m, col_n[part], col_y[part])
+        shape = (len(group), len(roots))
+        found += _least_unmarked(w, least.reshape(shape), kernel.reshape(w, *shape))
+    return found
+
+
+def _least_unmarked(w: int, least: np.ndarray, kernel: np.ndarray) -> list[tuple[int | None, int]]:
+    """Per row of (least, kernel) from :func:`_cosets`, shaped (rows, roots) and
+    (w, rows, roots): (c, c + 1) for the least c in no column's coset, or (None, 2^w).
+
+    The c below 2^k that vanish at a column are least XOR the span of its kernel
+    rows with leading bit below k when least < 2^k, and none otherwise.  Window
+    k = 0, 1, ... marks them for every undecided row at once, row i in the stretch
+    i << k of one array.  A row's first window with an unmarked c decides it and it
+    leaves the windows, so a found c costs the window of its own bit length.
+    """
+    found = [(None, 1 << w)] * len(least)
+    rows = np.arange(len(least))
     for k in range(w + 1):
-        marked = np.zeros(1 << k, dtype=bool)
-        live = np.flatnonzero(least < 1 << k)
-        dim = np.count_nonzero(kernel[:k, live], axis=0).max(initial=0)
-        step = max(1, _CHUNK_VALUES >> int(dim))
-        for lo in range(0, len(live), step):
-            part = live[lo : lo + step]
-            marked[_coset_elements(least[part], kernel[:k, part])] = True
-        if not marked.all():
-            c = int(marked.argmin())
-            return c, c + 1
-    return None, field.size
+        row, col = np.nonzero(least[rows] < 1 << k)
+        ker = kernel[:k, rows[row], col]
+        start = least[rows[row], col] | row << k
+        marked = np.zeros(len(rows) << k, dtype=bool)
+        step = max(1, _CHUNK_VALUES >> int(np.count_nonzero(ker, axis=0).max(initial=0)))
+        for lo in range(0, len(start), step):
+            marked[_coset_elements(start[lo : lo + step], ker[:, lo : lo + step])] = True
+        marked = marked.reshape(len(rows), 1 << k)
+        done = ~marked.all(axis=1)
+        for i, c in zip(rows[done].tolist(), marked[done].argmin(axis=1).tolist()):
+            found[i] = (c, c + 1)
+        rows = rows[~done]
+        if not len(rows):
+            break
+    return found
 
 
 def find_compatible_c(m: int, n: int, field: Field | None = None) -> int | None:
     """First compatible c in canonical element order, or None."""
     field = _context(m, n, field)
-    return _search_c(field, m, n)[0]
+    return _search_c(field, m, [n])[0][0]
 
 
 def divisibility_criterion(m: int, n: int) -> tuple[bool, bool]:
@@ -256,18 +286,25 @@ class CompatReport:
         }
 
 
+def _reports(field: Field, m: int, ns: Sequence[int]) -> list[CompatReport]:
+    """One report per n in ns, from one search over the field."""
+    predicates = [compatibility_predicate(m, n) for n in ns]  # checks m and n first
+    return [
+        CompatReport(
+            m=m,
+            n=n,
+            predicate=predicate,
+            exists_c=found is not None,
+            found_c=found,
+            modulus=field.modulus,
+            search_size=tested,
+        )
+        for n, predicate, (found, tested) in zip(ns, predicates, _search_c(field, m, ns))
+    ]
+
+
 def compat_report(m: int, n: int, field: Field | None = None) -> CompatReport:
-    field = _context(m, n, field)
-    found, tested = _search_c(field, m, n)
-    return CompatReport(
-        m=m,
-        n=n,
-        predicate=compatibility_predicate(m, n),
-        exists_c=found is not None,
-        found_c=found,
-        modulus=field.modulus,
-        search_size=tested,
-    )
+    return _reports(_context(m, n, field), m, [n])[0]
 
 
 def sweep_reports(
@@ -275,10 +312,12 @@ def sweep_reports(
     n_values: Sequence[int],
     modulus_table: Mapping[int, int] | None = None,
 ) -> list[CompatReport]:
-    """Reports for the full grid, m ascending then n ascending; fields are built first."""
+    """Reports for the full grid, m ascending then n ascending; fields are built first,
+    then each m is one search that decides every n."""
     table = modulus_table or {}
     fields = {m: make_field(2 * m, table.get(2 * m)) for m in m_values}
-    return [compat_report(m, n, fields[m]) for m in sorted(m_values) for n in sorted(n_values)]
+    ns = sorted(n_values)
+    return [row for m in sorted(m_values) for row in _reports(fields[m], m, ns)]
 
 
 def reports_to_json(rows: Sequence[CompatReport], kind: str = "compatibility-sweep") -> str:

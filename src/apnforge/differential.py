@@ -63,16 +63,22 @@ class DerivativeSpectrum:
         """The largest fiber over all shifts: a DDT's largest off-zero entry."""
         return int(self.kernels[1:].max())
 
+    def _size_counts(self) -> list[tuple[int, int]]:
+        """(kernel size, #shifts a != 0 with it), ascending, counted by exponent since sizes
+        are powers of two (np.unique would import numpy.ma, ~18 ms per process)."""
+        exponents = np.frexp(self.kernels[1:])[1] - 1
+        return [(1 << e, n) for e, n in enumerate(np.bincount(exponents).tolist()) if n]
+
     def uniform_fiber_size(self) -> int | None:
         """The one fiber size attained at every shift, or None when sizes are mixed."""
-        sizes = np.unique(self.kernels[1:])
-        return int(sizes[0]) if len(sizes) == 1 else None
+        sizes = self._size_counts()
+        return sizes[0][0] if len(sizes) == 1 else None
 
     def collapsed_summary(self) -> list[dict]:
         """Histogram shapes grouped over a: few lines even for big sweeps."""
         size = len(self.kernels)
-        groups = zip(*np.unique(self.kernels[1:], return_counts=True))
-        shapes = sorted((sorted(_coset_histogram(size, int(k)).items()), int(n)) for k, n in groups)
+        groups = self._size_counts()
+        shapes = sorted((sorted(_coset_histogram(size, k).items()), n) for k, n in groups)
         return [{"histogram": {str(t): c for t, c in shape}, "count_a": n} for shape, n in shapes]
 
 

@@ -17,7 +17,9 @@ output.
 This module is the one home of F_{2^w} arithmetic, and it has one
 arithmetic for every degree (up to the configurable cap, default 24):
 a branchless shift-and-reduce multiply, and every Frobenius map as one
-F_2-linear map on basis images (X^j)^(2^t) built once per field.
+F_2-linear map on basis images (X^j)^(2^t), one (w, w) table built once
+per field and gathered at t mod w, so one call can apply a different t
+to each element of an array.
 ``Field.array_ops`` runs that code unchecked and elementwise on int64
 arrays; scalar ``Field.mul``/``frobenius`` are range checks around the
 same code, which is written in operators only, so it serves ints and
@@ -167,7 +169,7 @@ class Field:
 
     def frobenius(self, x: int, t: int = 1) -> int:
         """t-fold Frobenius x -> x^(2^t); t may be any nonnegative int."""
-        return self.array_ops.frobenius(self.check(x), t)
+        return int(self.array_ops.frobenius(self.check(x), t))
 
     def in_subfield(self, x: int, d: int) -> bool:
         """Membership in the subfield F_{2^d}; d must divide w."""
@@ -206,10 +208,11 @@ class _ArrayOps:
 
     def __init__(self, w: int, modulus: int):
         self._w, self._modulus = w, modulus
-        # _frob[t][j] = (X^j)^(2^t), each row the square of the one before.
-        self._frob = [[1 << j for j in range(w)]]
+        # _frob[j, t] = (X^j)^(2^t), each column the square of the one before.
+        images = [[1 << j for j in range(w)]]
         for _ in range(w - 1):
-            self._frob.append([self.mul(v, v) for v in self._frob[-1]])
+            images.append([self.mul(v, v) for v in images[-1]])
+        self._frob = np.array(images, dtype=np.int64).T
 
     def mul(self, x, y):
         """Branchless shift-and-reduce: w steps, whatever the operands' shapes."""
@@ -221,10 +224,15 @@ class _ArrayOps:
             x ^= modulus & -(x >> w)
         return acc
 
-    def frobenius(self, x, t: int = 1):
-        """x^(2^t): the XOR of the images (X^j)^(2^t) over the set bits j of x."""
-        out = x & 0
-        for j, image in enumerate(self._frob[t % self._w]):
+    def frobenius(self, x, t=1):
+        """x^(2^t): the XOR of the images (X^j)^(2^t) over the set bits j of x.
+
+        t is an int or an int64 array that broadcasts against x, one
+        exponent per element: the images are gathered at t mod w.
+        """
+        images = self._frob[:, t % self._w]
+        out = (x ^ images[0]) & 0
+        for j, image in enumerate(images):
             out ^= image & -((x >> j) & 1)
         return out
 

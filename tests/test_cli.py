@@ -309,6 +309,23 @@ def test_traced_benchmark_replay_reproduces_cli_stdout(capsys):
     assert replayed == hashlib.sha256(out.encode()).hexdigest()
 
 
+def test_verify_does_not_import_numpy_ma():
+    """np.unique imports numpy.ma, about 18 ms in every fresh process; verify needs none of it."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from apnforge import cli\n"
+        "code = cli.main(['verify', '--m', '3', '--n', '2'])\n"
+        "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.stderr.splitlines()[-1] == f"{EXIT_OK} False", proc.stderr
+
+
 def test_witness_json_and_failure_modes(capsys):
     code, out, _ = run(capsys, "witness", "--m", "2", "--n", "1", "--y", "8")
     assert code == EXIT_OK

@@ -245,6 +245,33 @@ def test_search_matches_the_oracle_scan(monkeypatch):
                     assert find_compatible_c(m, n, f) == found
 
 
+def test_sweep_decides_every_n_of_one_m_as_the_oracle_scan(monkeypatch):
+    """sweep_reports searches all n of one m together, with (n, root) pairs as columns; row
+    by row it must give the scalar scan's (found_c, search_size) on every row with m <= 5
+    and n <= 10, with its own chunks and with 40-value chunks (groups of several n at
+    m = 1, elimination chunks inside one n's roots from m = 3 on)."""
+    expected = {
+        (m, n): oracle.search_c(make_field(2 * m), m, n) for m in range(1, 6) for n in range(1, 11)
+    }
+    for chunk in (compatibility._CHUNK_VALUES, 40):
+        with monkeypatch.context() as patch:
+            patch.setattr(compatibility, "_CHUNK_VALUES", chunk)
+            rows = sweep_reports(range(1, 6), range(1, 11))
+        assert [(r.m, r.n) for r in rows] == list(expected)
+        assert {(r.m, r.n): (r.found_c, r.search_size) for r in rows} == expected, chunk
+
+
+def test_rows_n_and_n_plus_2m_agree():
+    """y^(2^n) depends on n mod 2m only, so (m, n) and (m, n + 2m) decide alike, whether
+    they share an elimination or not."""
+    for m in range(1, 9):
+        low = sweep_reports([m], range(1, 2 * m + 1))
+        high = sweep_reports([m], range(2 * m + 1, 4 * m + 1))
+        assert [(r.found_c, r.search_size) for r in low] == [
+            (r.found_c, r.search_size) for r in high
+        ], m
+
+
 def test_search_matches_the_array_scan_up_to_m_8():
     """Every row with m = 6..8, n <= 16 (the exhausted (6, 6), (7, 7), (8, 8) included)
     against the brute-force array scan on the tables."""

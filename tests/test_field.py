@@ -155,6 +155,21 @@ def test_frobenius_is_iterated_squaring():
                 assert f.frobenius(x, t) == oracle.gfpow(x, 1 << t, f.modulus)
 
 
+@pytest.mark.parametrize("w", [8, 16, 18, 24])
+def test_frobenius_takes_one_exponent_per_element(w):
+    """An int64 array t applies its own x -> x^(2^t) at each element, t = 0 and t >= w
+    included, and broadcasts against x; the scalar call still returns an int."""
+    f = make_field(w)
+    rng = random.Random(w)
+    xs = np.array([0, 1, f.size - 1] + [rng.randrange(f.size) for _ in range(9)], dtype=np.int64)
+    ts = np.array([0, w, 3 * w - 1] + [rng.randrange(3 * w) for _ in range(9)], dtype=np.int64)
+    expected = [oracle.gfpow(x, 1 << t, f.modulus) for x, t in zip(xs.tolist(), ts.tolist())]
+    assert f.array_ops.frobenius(xs, ts).tolist() == expected
+    grid = f.array_ops.frobenius(xs[:, None], np.arange(2 * w, dtype=np.int64))
+    assert grid.tolist() == [[f.frobenius(x, t) for t in range(2 * w)] for x in xs.tolist()]
+    assert type(f.frobenius(int(xs[4]), int(ts[4]))) is int
+
+
 def test_frobenius_is_additive_and_multiplicative():
     f = make_field(6)
     for x in range(0, f.size, 5):
