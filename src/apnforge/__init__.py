@@ -21,7 +21,6 @@ from .compatibility import (
 from .differential import (
     CrossCheckError,
     DerivativeSpectrum,
-    ddt,
     derivative_spectrum,
     is_apn,
     is_t_to_one,
@@ -38,8 +37,6 @@ from .field import (
 from .hexanomial import (
     BCParams,
     default_d,
-    eval_derivative,
-    eval_derivative_linear,
     eval_hexanomial,
 )
 

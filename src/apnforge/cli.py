@@ -23,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -47,8 +47,7 @@ from .differential import (
     spectrum_report,
     verify_instance,
 )
-from .field import make_field
-from .hexanomial import BCParams, default_d
+from .hexanomial import BCParams, default_d, instance_field
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -77,21 +76,24 @@ def load_modulus_table(path: str) -> dict[int, int]:
         raise ValueError(f"modulus table {path} must be a JSON object")
     if bad := {k: v for k, v in obj.items() if not isinstance(v, str)}:
         raise ValueError(f"modulus table {path}: moduli must be hex strings, got {bad}")
-    return {int(k): int(v, 16) for k, v in obj.items()}
+    try:
+        return {int(k): int(v, 16) for k, v in obj.items()}
+    except ValueError as exc:  # a degree key or a modulus that does not parse
+        raise ValueError(f"modulus table {path}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs shared across subcommands, resolved from flags and environment."""
 
-    m_range: tuple[int, int] = (1, 6)
-    n_range: tuple[int, int] = (1, 12)
-    modulus_table: Mapping[int, int] = dc_field(default_factory=dict)
-    fmt: str = "json"
-    out: str | None = None
-    cap_spectrum: int = SPECTRUM_DEGREE_CAP
-    cap_ddt: int = DDT_DEGREE_CAP
-    seed: int = 0
+    m_range: tuple[int, int]
+    n_range: tuple[int, int]
+    modulus_table: Mapping[int, int]
+    fmt: str
+    out: str | None
+    cap_spectrum: int
+    cap_ddt: int
+    seed: int
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -118,8 +120,10 @@ def _write_file(path: str, blocks: Iterable[bytes]) -> None:
         with tmp.open("wb") as fh:
             fh.writelines(blocks)
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno:  # name the path asked for, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -130,15 +134,15 @@ def _emit(text: str, out: str | None) -> None:
         _write_file(out, [text.encode()])
 
 
+def _emit_reports(rows, kind: str, cfg: RunConfig, ok: bool) -> int:
+    _emit(reports_to_json(rows, kind) if cfg.fmt == "json" else reports_to_csv(rows), cfg.out)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
 def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
-    rows = sweep_reports(
-        range(cfg.m_range[0], cfg.m_range[1] + 1),
-        range(cfg.n_range[0], cfg.n_range[1] + 1),
-        cfg.modulus_table,
-    )
-    text = reports_to_json(rows) if cfg.fmt == "json" else reports_to_csv(rows)
-    _emit(text, cfg.out)
-    return EXIT_OK if all(r.consistent for r in rows) else EXIT_CHECK_FAILED
+    (m0, m1), (n0, n1) = cfg.m_range, cfg.n_range
+    rows = sweep_reports(range(m0, m1 + 1), range(n0, n1 + 1), cfg.modulus_table)
+    return _emit_reports(rows, "compatibility-sweep", cfg, all(r.consistent for r in rows))
 
 
 def _resolve_params(args: argparse.Namespace, cfg: RunConfig):
@@ -151,7 +155,7 @@ def _resolve_params(args: argparse.Namespace, cfg: RunConfig):
     if args.m is None or args.n is None:
         raise ValueError("either --params or both --m and --n are required")
     m, n = args.m, args.n
-    fld = make_field(2 * m, cfg.modulus_table.get(2 * m))
+    fld = instance_field(m, n, modulus=cfg.modulus_table.get(2 * m))
     if args.c is not None:
         c, c_source = fld.element_from_hex(args.c), "given"
     elif compatibility_predicate(m, n):
@@ -197,7 +201,7 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
     m, n = args.m, args.n
-    fld = make_field(2 * m, cfg.modulus_table.get(2 * m))
+    fld = instance_field(m, n, modulus=cfg.modulus_table.get(2 * m))
     y = fld.element_from_hex(args.y)
     found = witnesses(y, m, n, fld)
     unity = (1 << m) + 1
@@ -235,9 +239,7 @@ def _cmd_bc_empirical(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.max_2m < 6:
         raise ValueError(f"--max-2m must be at least 6, got {args.max_2m}")
     rows = sweep_reports(range(3, args.max_2m // 2 + 1), [1], cfg.modulus_table)
-    text = reports_to_json(rows, "bc-empirical") if cfg.fmt == "json" else reports_to_csv(rows)
-    _emit(text, cfg.out)
-    return EXIT_OK if all(r.exists_c and r.consistent for r in rows) else EXIT_CHECK_FAILED
+    return _emit_reports(rows, "bc-empirical", cfg, all(r.exists_c and r.consistent for r in rows))
 
 
 def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:

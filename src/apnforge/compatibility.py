@@ -42,6 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .field import Field, SizeLimitError, gf2_reduce, make_field, roots_of_unity
+from .hexanomial import instance_field
 
 # Values per array in either step of the c search: w + 1 per root in the
 # elimination, up to 2^(kernel dimension) per root when marking.
@@ -56,16 +57,6 @@ COMPAT_CSV_COLUMNS = (
     "modulus_hex",
     "search_size",
 )
-
-
-def _context(m: int, n: int, field: Field | None) -> Field:
-    if m < 1 or n < 1:
-        raise ValueError(f"m, n must be positive, got ({m}, {n})")
-    if field is None:
-        return make_field(2 * m)
-    if field.w != 2 * m:
-        raise ValueError(f"field degree {field.w} does not match 2m = {2 * m}")
-    return field
 
 
 def eval_compat_poly(f, m: int, n: int, c, y):
@@ -85,7 +76,7 @@ def _unity_roots(field: Field, m: int) -> np.ndarray:
 
 def is_compatible_c(c: int, m: int, n: int, field: Field | None = None) -> bool:
     """True when no (r+1)-st root of unity vanishes the polynomial at c."""
-    field = _context(m, n, field)
+    field = instance_field(m, n, field)
     field.check(c)
     return bool(eval_compat_poly(field.array_ops, m, n, c, _unity_roots(field, m)).all())
 
@@ -131,8 +122,8 @@ def _coset_elements(least: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return values
 
 
-def _search_c(field: Field, m: int, ns: Sequence[int]) -> list[tuple[int | None, int]]:
-    """(first compatible c or None, number of candidates examined) for each n in ns.
+def _search_c(field: Field, m: int, ns: Sequence[int]) -> list[int | None]:
+    """The least compatible c, or None, for each n in ns.
 
     n enters the polynomial only through y^s, so the (n, root) pairs of
     several n share one elimination as its columns.  The n go in groups
@@ -157,9 +148,9 @@ def _search_c(field: Field, m: int, ns: Sequence[int]) -> list[tuple[int | None,
     return found
 
 
-def _least_unmarked(w: int, least: np.ndarray, kernel: np.ndarray) -> list[tuple[int | None, int]]:
+def _least_unmarked(w: int, least: np.ndarray, kernel: np.ndarray) -> list[int | None]:
     """Per row of (least, kernel) from :func:`_cosets`, shaped (rows, roots) and
-    (w, rows, roots): (c, c + 1) for the least c in no column's coset, or (None, 2^w).
+    (w, rows, roots): the least c in no column's coset, or None.
 
     The c below 2^k that vanish at a column are least XOR the span of its kernel
     rows with leading bit below k when least < 2^k, and none otherwise.  Window
@@ -167,7 +158,7 @@ def _least_unmarked(w: int, least: np.ndarray, kernel: np.ndarray) -> list[tuple
     i << k of one array.  A row's first window with an unmarked c decides it and it
     leaves the windows, so a found c costs the window of its own bit length.
     """
-    found = [(None, 1 << w)] * len(least)
+    found: list[int | None] = [None] * len(least)
     rows = np.arange(len(least))
     for k in range(w + 1):
         row, col = np.nonzero(least[rows] < 1 << k)
@@ -180,7 +171,7 @@ def _least_unmarked(w: int, least: np.ndarray, kernel: np.ndarray) -> list[tuple
         marked = marked.reshape(len(rows), 1 << k)
         done = ~marked.all(axis=1)
         for i, c in zip(rows[done].tolist(), marked[done].argmin(axis=1).tolist()):
-            found[i] = (c, c + 1)
+            found[i] = c
         rows = rows[~done]
         if not len(rows):
             break
@@ -189,8 +180,8 @@ def _least_unmarked(w: int, least: np.ndarray, kernel: np.ndarray) -> list[tuple
 
 def find_compatible_c(m: int, n: int, field: Field | None = None) -> int | None:
     """First compatible c in canonical element order, or None."""
-    field = _context(m, n, field)
-    return _search_c(field, m, [n])[0][0]
+    field = instance_field(m, n, field)
+    return _search_c(field, m, [n])[0]
 
 
 def divisibility_criterion(m: int, n: int) -> tuple[bool, bool]:
@@ -220,7 +211,7 @@ def _require_unity_root(field: Field, m: int, y: int) -> None:
 
 def vanishing_coeff_set(y: int, m: int, n: int, field: Field | None = None) -> set[int]:
     """All coefficient values a for which y is a root of the polynomial: a coset, or empty."""
-    field = _context(m, n, field)
+    field = instance_field(m, n, field)
     _require_unity_root(field, m, y)
     least, kernel = _cosets(field, m, n, np.array([y], dtype=np.int64))
     return set(_coset_elements(least, kernel).tolist()) if least[0] < field.size else set()
@@ -238,7 +229,7 @@ def witnesses(y: int, m: int, n: int, field: Field | None = None) -> list[int]:
     The returned list is deduplicated, in the construction order above.
     Every entry e satisfies eval_compat_poly(field, m, n, e, y) == 0.
     """
-    field = _context(m, n, field)
+    field = instance_field(m, n, field)
     _require_unity_root(field, m, y)
     if y == 1:
         raise ValueError("witnesses are defined for unity roots y != 1")
@@ -288,23 +279,22 @@ class CompatReport:
 
 def _reports(field: Field, m: int, ns: Sequence[int]) -> list[CompatReport]:
     """One report per n in ns, from one search over the field."""
-    predicates = [compatibility_predicate(m, n) for n in ns]  # checks m and n first
     return [
         CompatReport(
             m=m,
             n=n,
-            predicate=predicate,
+            predicate=compatibility_predicate(m, n),
             exists_c=found is not None,
             found_c=found,
             modulus=field.modulus,
-            search_size=tested,
+            search_size=field.size if found is None else found + 1,
         )
-        for n, predicate, (found, tested) in zip(ns, predicates, _search_c(field, m, ns))
+        for n, found in zip(ns, _search_c(field, m, ns))
     ]
 
 
 def compat_report(m: int, n: int, field: Field | None = None) -> CompatReport:
-    return _reports(_context(m, n, field), m, [n])[0]
+    return _reports(instance_field(m, n, field), m, [n])[0]
 
 
 def sweep_reports(
@@ -314,9 +304,9 @@ def sweep_reports(
 ) -> list[CompatReport]:
     """Reports for the full grid, m ascending then n ascending; fields are built first,
     then each m is one search that decides every n."""
-    table = modulus_table or {}
-    fields = {m: make_field(2 * m, table.get(2 * m)) for m in m_values}
-    ns = sorted(n_values)
+    table, ns = modulus_table or {}, sorted(n_values)
+    # the least n is the one that can break the contract
+    fields = {m: instance_field(m, min(ns, default=1), modulus=table.get(2 * m)) for m in m_values}
     return [row for m in sorted(m_values) for row in _reports(fields[m], m, ns)]
 
 

@@ -15,7 +15,7 @@ right degree can be supplied explicitly and is carried in serialized
 output.
 
 This module is the one home of F_{2^w} arithmetic, and it has one
-arithmetic for every degree (up to the configurable cap, default 24):
+arithmetic for every degree (up to the cap of :func:`make_field`, 24):
 a branchless shift-and-reduce multiply, and every Frobenius map as one
 F_2-linear map on basis images (X^j)^(2^t), one (w, w) table built once
 per field and gathered at t mod w, so one call can apply a different t
@@ -264,17 +264,15 @@ def _field_cache(w: int, modulus: int) -> Field:
     return Field(w, modulus)
 
 
-def make_field(w: int, modulus: int | None = None, degree_cap: int = DEGREE_CAP) -> Field:
+def make_field(w: int, modulus: int | None = None) -> Field:
     """Construct (or fetch the cached) F_{2^w}.
 
     Fields are cached by (w, modulus) so repeated calls share tables and
-    identity; the default cap keeps accidental huge requests from
+    identity; :data:`DEGREE_CAP` keeps accidental huge requests from
     latching up a session.
     """
-    if w < 1:
-        raise ValueError(f"field degree must be positive, got {w}")
-    if w > degree_cap:
-        raise SizeLimitError(f"field degree {w} exceeds cap {degree_cap}")
+    if w > DEGREE_CAP:
+        raise SizeLimitError(f"field degree {w} exceeds cap {DEGREE_CAP}")
     if modulus is None:
         modulus = least_irreducible(w)
     return _field_cache(w, modulus)

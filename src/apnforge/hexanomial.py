@@ -44,6 +44,19 @@ from math import gcd
 from .field import Field, make_field
 
 
+def instance_field(m: int, n: int, field: Field | None = None, modulus: int | None = None) -> Field:
+    """F_{2^(2m)} for the instance (m, n), m, n >= 1: the given field, if its degree
+    is 2m, or else the cached one with the given (default: least) modulus.  Every
+    entry point that takes (m, n) states its contract by this call."""
+    if m < 1 or n < 1:
+        raise ValueError(f"m, n must be positive, got ({m}, {n})")
+    if field is None:
+        return make_field(2 * m, modulus)
+    if field.w != 2 * m:
+        raise ValueError(f"field degree {field.w} does not match 2m = {2 * m}")
+    return field
+
+
 @dataclass(frozen=True)
 class BCParams:
     """One hexanomial instance: exponent pair (m, n), field F_{2^(2m)}, coefficients c, d.
@@ -59,12 +72,7 @@ class BCParams:
     d: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"m, n must be positive, got ({self.m}, {self.n})")
-        if self.field.w != 2 * self.m:
-            raise ValueError(
-                f"field degree {self.field.w} does not match 2m = {2 * self.m}"
-            )
+        instance_field(self.m, self.n, self.field)
         self.field.check(self.c)
         self.field.check(self.d)
         if self.field.in_subfield(self.d, self.m):
@@ -118,11 +126,11 @@ class BCParams:
                 raise TypeError(f"expected a JSON integer, got {v!r}")
             return v
 
-        m = read("m", integer)
-        field = make_field(2 * m, read("modulus_hex", lambda v: int(v, 16)))
+        m, n = read("m", integer), read("n", integer)
+        field = instance_field(m, n, modulus=read("modulus_hex", lambda v: int(v, 16)))
         return cls(
             m=m,
-            n=read("n", integer),
+            n=n,
             field=field,
             c=read("c_hex", field.element_from_hex),
             d=read("d_hex", field.element_from_hex),
@@ -205,7 +213,6 @@ def eval_derivative_linear(p: BCParams, a: int, x: int) -> int:
 
 def default_d(field: Field, m: int) -> int:
     """Least element outside F_{2^m}: the canonical d for reproducible runs."""
-    if field.w != 2 * m:
-        raise ValueError(f"field degree {field.w} does not match 2m = {2 * m}")
+    instance_field(m, 1, field)  # d does not depend on n
     # 0 and 1 lie in every subfield; X = 2 in none, as its minimal polynomial is the modulus
     return 2

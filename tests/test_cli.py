@@ -415,10 +415,19 @@ def test_modulus_table_non_string_value_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "must be hex strings, got {'4': 19}" in err
 
 
+def test_modulus_table_non_integer_degree_is_a_usage_error(tmp_path, capsys):
+    table = tmp_path / "mods.json"
+    table.write_text(json.dumps({"4": "19", "x": "13"}))
+    code, out, err = run(capsys, "sweep", "--m-range", "2..2", "--modulus-table", str(table))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: modulus table {table}: ") and "'x'" in err
+
+
 def test_out_path_io_error(tmp_path, capsys):
-    code, _, err = run(capsys, "sweep", "--m-range", "1..1", "--n-range", "1..1",
-                       "--out", str(tmp_path / "no" / "such" / "dir.json"))
+    out = tmp_path / "no" / "such" / "dir.json"
+    code, _, err = run(capsys, "sweep", "--m-range", "1..1", "--n-range", "1..1", "--out", str(out))
     assert code == EXIT_IO
+    assert err == f"i/o error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -24,7 +24,7 @@ from apnforge.compatibility import (
     vanishing_coeff_set,
     witnesses,
 )
-from apnforge.field import SizeLimitError, make_field, roots_of_unity
+from apnforge.field import Field, SizeLimitError, make_field, roots_of_unity
 
 # Compatible coefficients for (m, n) = (2, 1) over X^4+X+1, frozen from
 # the oracle's full 16-element scan.
@@ -304,7 +304,7 @@ def test_exhausted_row_at_the_field_cap_stays_within_memory():
 
 def test_search_refuses_fields_beyond_its_tag_width():
     """Above w = 31 the elimination's tags would overflow an int64; refuse, never misreport."""
-    f = make_field(32, degree_cap=32)
+    f = Field(32)  # past make_field's cap
     with pytest.raises(SizeLimitError, match="w=32 exceeds 31"):
         compat_report(16, 1, f)
     with pytest.raises(SizeLimitError, match="w=32 exceeds 31"):

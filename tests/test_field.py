@@ -283,8 +283,6 @@ def test_make_field_returns_cached_instance():
 def test_make_field_degree_cap():
     with pytest.raises(SizeLimitError):
         make_field(25)
-    with pytest.raises(SizeLimitError):
-        make_field(8, degree_cap=6)
     with pytest.raises(ValueError):
         make_field(0)
 

@@ -1,5 +1,7 @@
 """Hexanomial evaluation and derivative structure vs the big-exponent oracle."""
 
+import contextlib
+import io
 import random
 
 import pytest
@@ -7,6 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from apnforge import cli
+from apnforge.compatibility import (
+    compat_report,
+    find_compatible_c,
+    is_compatible_c,
+    vanishing_coeff_set,
+    witnesses,
+)
 from apnforge.field import FieldMismatchError, make_field
 from apnforge.hexanomial import (
     BCParams,
@@ -176,6 +186,79 @@ def test_params_validation():
         BCParams(m=2, n=0, field=f16, c=1, d=2)
     with pytest.raises(FieldMismatchError):
         BCParams(m=2, n=1, field=f16, c=99, d=2)
+
+
+def _raised(call):
+    """An entry point's refusal: the words of the ValueError it raises."""
+
+    def refusal(m, n):
+        with pytest.raises(ValueError) as info:
+            call(m, n)
+        return str(info.value)
+
+    return refusal
+
+
+def _cli(*argv):
+    """The CLI's refusal: exit 2, nothing on stdout, one line 'error: <words>' on stderr."""
+
+    def refusal(m, n):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([arg.format(m=m, n=n) for arg in argv])
+        assert (code, out.getvalue()) == (cli.EXIT_USAGE, "")
+        line = err.getvalue()
+        assert line.startswith("error: ") and line.endswith("\n") and line.count("\n") == 1
+        return line[len("error: ") : -1]
+
+    return refusal
+
+
+F16 = make_field(4)  # of degree 2m for m = 2 only
+
+# Every entry point that takes an instance (m, n), handed F16 where it takes a field.
+INSTANCE_ENTRY_POINTS = {
+    "BCParams": _raised(lambda m, n: BCParams(m=m, n=n, field=F16, c=0, d=2)),
+    "BCParams.from_dict": _raised(
+        lambda m, n: BCParams.from_dict(
+            {"m": m, "n": n, "c_hex": "0", "d_hex": "2", "modulus_hex": "13"}
+        )
+    ),
+    "default_d": _raised(lambda m, n: default_d(F16, m)),
+    "find_compatible_c": _raised(lambda m, n: find_compatible_c(m, n, F16)),
+    "is_compatible_c": _raised(lambda m, n: is_compatible_c(0, m, n, F16)),
+    "compat_report": _raised(lambda m, n: compat_report(m, n, F16)),
+    "vanishing_coeff_set": _raised(lambda m, n: vanishing_coeff_set(8, m, n, F16)),
+    "witnesses": _raised(lambda m, n: witnesses(8, m, n, F16)),
+    "cli verify": _cli("verify", "--m", "{m}", "--n", "{n}"),
+    "cli witness": _cli("witness", "--m", "{m}", "--n", "{n}", "--y", "1"),
+}
+
+BAD_INSTANCES = {
+    (0, 1): "m, n must be positive, got (0, 1)",
+    (2, 0): "m, n must be positive, got (2, 0)",
+    (3, 1): "field degree 4 does not match 2m = 6",
+}
+
+# default_d takes no n.  The CLI builds the field of degree 2m itself, and from_dict
+# builds it from the params' modulus, so a modulus of the wrong degree is the field's
+# own refusal.
+NOT_TAKEN = {("default_d", 2, 0), ("cli verify", 3, 1), ("cli witness", 3, 1)}
+OWN_WORDS = {("BCParams.from_dict", 3, 1): "modulus 0x13 has degree 4, expected 6"}
+
+
+@pytest.mark.parametrize(
+    "entry, m, n",
+    [
+        (entry, m, n)
+        for entry in INSTANCE_ENTRY_POINTS
+        for m, n in BAD_INSTANCES
+        if (entry, m, n) not in NOT_TAKEN
+    ],
+)
+def test_every_instance_entry_point_refuses_with_the_same_words(entry, m, n):
+    words = OWN_WORDS.get((entry, m, n), BAD_INSTANCES[m, n])
+    assert INSTANCE_ENTRY_POINTS[entry](m, n) == words
 
 
 def test_params_dict_roundtrip():
