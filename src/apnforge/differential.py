@@ -1,21 +1,21 @@
 """Differential-spectrum verification for hexanomial instances.
 
-Every exponent of F has binary weight at most 2, so F is quadratic and
-each derivative is affine: its nonzero fibers are cosets of one kernel,
-whose size fixes the fiber histogram.  Two routes give |ker| for every
-shift a != 0 as 2^(w - rank), with the F_2-rank of w basis images from
-one elimination vectorized over all shifts (:func:`gf2_reduce`),
-O(w^2 2^w).  They differ only in where the images come from:
+F is quadratic, so each derivative is affine with linear part B(a, .),
+B(a, y) = F(a + y) + F(a) + F(y) + F(0) being F_2-bilinear: its nonzero
+fibers are cosets of one kernel, whose size fixes the fiber histogram.
+Two routes give |ker| for every shift a != 0 as 2^(w - rank), with the
+F_2-rank of the w images B(a, X^i) from one elimination in int32 rows
+vectorized over all shifts (:func:`gf2_reduce`), O(w^2 2^w).  They
+differ only in where the images come from:
 
-* the definition route reads B(a, X^i) = F(a + X^i) + F(a) + F(X^i) + F(0)
-  off a table of F (its formula on the field's array view), once a
-  Moebius transform has certified the table quadratic and the scalar F
-  has matched it at every x of weight <= 2, the points that fix a
-  quadratic map;
-* the kernel route evaluates D_a(X^i) through the linearized form
-  l0 x + lr x^r + ls x^s + lrs x^(rs) of :mod:`apnforge.hexanomial`,
-  the form the spot check holds to the definition (both forms of D_a
-  on seeded (a, x) pairs, evaluated at once on the field's array view).
+* the definition route reads them off a table of F (its formula on the
+  field's array view), once a Moebius transform has certified the table
+  quadratic and the scalar F has matched it at every x of weight <= 2,
+  the points that fix a quadratic map;
+* the kernel route never reads that table: it builds every shift's
+  images by XOR from the w^2 values B(X^j, X^i) of the linearized form
+  in :mod:`apnforge.hexanomial`, whose coefficients the spot check
+  holds to the definition of D_a on seeded (a, x) pairs.
 
 They must agree at every shift, or :class:`CrossCheckError` replaces the
 verdict; the test suite holds each route to its own oracle as well.  A
@@ -114,16 +114,13 @@ def _check_quadratic(p: BCParams, ftab: np.ndarray) -> None:
 
 
 def derivative_spectrum(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP) -> DerivativeSpectrum:
-    """|ker| for every a != 0 from the value table alone: the definition route.
-
-    Once F is certified quadratic, x -> F(x) + F(x + a) is affine with
-    linear part B(a, x) = F(a + x) + F(a) + F(x) + F(0), whose images
-    of X^0..X^(w-1) are w table lookups per shift.
-    """
+    """|ker| for every a != 0 from the value table alone: the definition route, whose
+    images B(a, X^i) are w table lookups per shift once F is certified quadratic."""
     check_degree("spectrum", p.field.w, degree_cap)
     w = p.field.w
     ftab = value_table(p)
     _check_quadratic(p, ftab)
+    ftab = ftab.astype(np.int32)
     shifts = np.arange(1, p.field.size)
     base = ftab[shifts] ^ ftab[0]
     images = (ftab[shifts ^ (1 << i)] ^ base ^ ftab[1 << i] for i in range(w))
@@ -131,25 +128,29 @@ def derivative_spectrum(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP) -> D
 
 
 def _kernels_from_images(images, w: int) -> np.ndarray:
-    """2^(w - rank) at every shift 1..2^w - 1 from its w basis images; index 0 unused."""
-    basis = np.zeros((w, (1 << w) - 1), dtype=np.int64)
+    """2^(w - rank) at every shift 1..2^w - 1 from its w int32 basis images; index 0 unused."""
+    basis = np.zeros((w, (1 << w) - 1), dtype=np.int32)  # w <= 24 < 31: rows fit int32
     for _ in gf2_reduce(images, basis):
         pass
-    kernels = np.zeros(1 << w, dtype=np.int64)
-    kernels[1:] = np.left_shift(1, w - np.count_nonzero(basis, axis=0))
-    return kernels
+    kernels = np.left_shift(1, w - np.count_nonzero(basis, axis=0))
+    return np.concatenate(([0], kernels))
+
+
+def bilinear_images(p: BCParams) -> np.ndarray:
+    """images[i, a] = B(a, X^i) at every a, int32 (w, 2^w), without F's table: B is linear
+    in a, so a's images XOR the rows B(X^j, X^.) over the bits j of a, one doubling per bit."""
+    w, ops = p.field.w, p.field.array_ops
+    xj, xi = 1 << np.indices((w, w), dtype=np.int64)  # X^j down the rows, X^i across
+    tensor = hexanomial.collapsed_form(ops, p, hexanomial.bilinear_coeffs(ops, p, xj), xi)
+    images = np.zeros((w, 1 << w), dtype=np.int32)
+    for j, row in enumerate(tensor.astype(np.int32)):  # row j: B(X^j, X^i) for each i
+        np.bitwise_xor(images[:, : 1 << j], row[:, None], out=images[:, 1 << j : 2 << j])
+    return images
 
 
 def kernel_sizes(p: BCParams) -> np.ndarray:
-    """|ker D_a| = 2^(w - rank) for every a (index 0 unused); the kernel route.
-
-    The rank is over the images D_a(X^0..X^(w-1)) of the linearized form
-    in :mod:`apnforge.hexanomial`, evaluated for every shift at once.
-    """
-    w, ops = p.field.w, p.field.array_ops
-    coeffs = hexanomial.collapsed_coeffs(ops, p, np.arange(1, p.field.size, dtype=np.int64))
-    images = (hexanomial.collapsed_form(ops, p, coeffs, 1 << i) for i in range(w))
-    return _kernels_from_images(images, w)
+    """|ker D_a| = |ker B(a, .)| = 2^(w - rank) for every a (index 0 unused): the kernel route."""
+    return _kernels_from_images(bilinear_images(p)[:, 1:], p.field.w)
 
 
 def _coset_histogram(size: int, kernel: int) -> dict[int, int]:
@@ -198,12 +199,13 @@ def verify_instance(
 ) -> tuple[DerivativeSpectrum, dict]:
     """The whole exact check: (the cross-checked spectrum, the spot check's record).
 
-    The spectrum cap is checked before any work and never exceeds w = 16,
-    because both rank routes hold all 2^w shifts at once, unchunked (at
-    w = 20 the kernel route alone took 10.5 s and the routes peaked at
-    326 MiB, one run on a 2-core Xeon).  Both routes and the spot check
-    run; a failed degree certificate or any disagreement raises
-    :class:`CrossCheckError` instead of a verdict.  No report is built.
+    The spectrum cap is checked before any work and never exceeds w = 16:
+    both rank routes hold all 2^w shifts at once, unchunked (at w = 20 the
+    definition route took 3.7 s and the kernel route 2.0 s, with a 246 MiB
+    peak, one in-process run on a 2-core Xeon); raising it waits on chunked
+    routes and a predicted-memory check.  Both routes and the spot check run;
+    any failed certificate or disagreement raises :class:`CrossCheckError`
+    instead of a verdict.  No report is built.
     """
     spec = derivative_spectrum(p, min(degree_cap, SPECTRUM_DEGREE_CAP))
     cross_check_spectrum(p, spec)

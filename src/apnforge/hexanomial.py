@@ -8,27 +8,23 @@ with a free coefficient c and a coefficient d outside the subfield
 F_{2^m}.  Every power that appears is x^(2^t) for some t, so evaluation
 composes Frobenius maps and never exponentiates big integers.
 
-For a nonzero shift a, the rescaled derivative
+F is quadratic (every exponent has binary weight <= 2), so
+B(a, y) = F(a + y) + F(a) + F(y) = b0 y + br y^r + bs y^s + brs y^(rs)
+is F_2-bilinear, b0..brs linear in a (:func:`bilinear_coeffs`).  For a
+nonzero shift a the rescaled derivative D_a(x) = F(a x) + F(a x + a) +
+F(a) is B(a, a x), a linearized polynomial whose coefficients are
+b0..brs times a, a^r, a^s, a^(rs) (:func:`collapsed_coeffs`).  Each
+x^(2^t), t in {m, n, m+n}, is linear over F_{2^k}, k = gcd(m, n); so
+D_a is F_{2^k}-linear and its nonzero fibers are cosets of its kernel
+-- the fact that makes exhaustive derivative verification cheap.
 
-    D_a(x) = F(a x) + F(a x + a) + F(a)
-
-collapses (the degree-(s+1)r terms cancel) to the linearized polynomial
-l0 x + lr x^r + ls x^s + lrs x^(rs), each coefficient one conjugate of
-a times F's partial derivative in that conjugate.  Each x^(2^t), t in
-{m, n, m+n}, is linear over F_{2^k}, k = gcd(m, n), because k divides
-m and n; so D_a is a F_{2^k}-linear map whose nonzero fibers are cosets
-of its kernel -- the fact that makes exhaustive derivative verification
-cheap.  The coefficients depend only on (params, a); the scalar ones
-are cached.
-
-F itself (:func:`hexanomial_form`), D_a from the definition
-(:func:`derivative_form`), the coefficients of D_a
-(:func:`collapsed_coeffs`) and the four-term sum they weight
-(:func:`collapsed_form`) are each written once, generic over field ops:
-the scalar :class:`Field` (:func:`eval_hexanomial`,
-:func:`eval_derivative`, :func:`eval_derivative_linear`) or its array
-view ``field.array_ops`` over many elements or shifts at once (the
-value table, the kernel route and the spot check in
+F (:func:`hexanomial_form`), D_a from the definition
+(:func:`derivative_form`), the coefficients of B and D_a and the sum
+they weight (:func:`collapsed_form`) are each written once, generic over
+field ops: the scalar :class:`Field` (:func:`eval_hexanomial`,
+:func:`eval_derivative`, :func:`eval_derivative_linear`, whose
+coefficients are cached) or its array view ``field.array_ops`` (the
+value table, the kernel route's w^2 values of B and the spot check in
 :mod:`apnforge.differential`).
 
 F is represented operationally, as evaluation procedures, not as a
@@ -171,24 +167,29 @@ def eval_derivative(p: BCParams, a: int, x: int) -> int:
     return derivative_form(p.field, p, a, x)
 
 
-def collapsed_coeffs(f, p: BCParams, a):
-    """(l0, lr, ls, lrs): D_a(x) = l0 x + lr x^r + ls x^s + lrs x^(rs), under field ops f.
-
-    f is the scalar :class:`Field` (a is one shift) or elementwise array
-    ops (a is an array of shifts); both provide ``mul`` and ``frobenius``.
-    """
+def bilinear_coeffs(f, p: BCParams, a):
+    """(b0, br, bs, brs): B(a, y) = b0 y + br y^r + bs y^s + brs y^(rs), under field ops f:
+    the scalar :class:`Field` (a is one element) or its array view (a is an array)."""
     ar, an, ars = _conjugates(f, p, a)
     cr = f.frobenius(p.c, p.m)
     return (
-        f.mul(a, an ^ ar ^ f.mul(p.c, ars)),
-        f.mul(ar, a ^ f.mul(cr, an) ^ ars),
-        f.mul(an, a ^ f.mul(cr, ar) ^ f.mul(p.d, ars)),
-        f.mul(ars, f.mul(p.c, a) ^ f.mul(p.d, an) ^ ar),
+        an ^ ar ^ f.mul(p.c, ars),
+        a ^ f.mul(cr, an) ^ ars,
+        a ^ f.mul(cr, ar) ^ f.mul(p.d, ars),
+        f.mul(p.c, a) ^ f.mul(p.d, an) ^ ar,
     )
 
 
+def collapsed_coeffs(f, p: BCParams, a):
+    """(l0, lr, ls, lrs): D_a(x) = B(a, a x) = l0 x + lr x^r + ls x^s + lrs x^(rs), the
+    coefficients of B times (a, a^r, a^s, a^(rs)), under field ops f."""
+    conjugates = (a, *_conjugates(f, p, a))
+    return tuple(f.mul(t, b) for t, b in zip(conjugates, bilinear_coeffs(f, p, a)))
+
+
 def collapsed_form(f, p: BCParams, coeffs, x):
-    """D_a(x) from the four coefficients of :func:`collapsed_coeffs`, under field ops f."""
+    """l0 x + lr x^r + ls x^s + lrs x^(rs) under field ops f: D_a(x) from the coefficients
+    of :func:`collapsed_coeffs`, B(a, x) from those of :func:`bilinear_coeffs`."""
     l0, lr, ls, lrs = coeffs
     xr, xs, xrs = _conjugates(f, p, x)
     return f.mul(l0, x) ^ f.mul(lr, xr) ^ f.mul(ls, xs) ^ f.mul(lrs, xrs)
@@ -203,11 +204,8 @@ def derivative_coeffs(p: BCParams, a: int) -> tuple[int, int, int, int]:
 
 
 def eval_derivative_linear(p: BCParams, a: int, x: int) -> int:
-    """D_a(x) through the four-term linearized form.
-
-    Independent of :func:`eval_derivative` past the shared field ops; the
-    two must agree everywhere, and the test suite holds them to that.
-    """
+    """D_a(x) through the four-term linearized form: independent of :func:`eval_derivative`
+    past the shared field ops, and held to it by the test suite."""
     return collapsed_form(p.field, p, derivative_coeffs(p, a), x)
 
 

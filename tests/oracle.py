@@ -17,13 +17,16 @@ root, one pair at a time or a chunk of candidates at a time on the
 tables, and :func:`vanishing_coeff_set` evaluates every candidate at
 one root: the brute force the library's coset search replaced.
 
-:func:`span_kernel_sizes` is the span route the library's rank route
-replaced: it spans every D_a from its basis images, computed for all
-shifts at once by the collapsed form on the tables, and counts zeros,
-O(4^w).  :func:`histogram_spectrum` is the histogram route the
-library's definition route replaced: it bincounts F(x) + F(x + a) over
-every x for every shift, O(4^w), and assumes nothing about the degree
-of F.
+:func:`per_shift_kernel_sizes` is the kernel route the library's
+bilinear one replaced: it evaluates the collapsed form of every D_a at
+X^0..X^(w-1), all shifts at once on the field's array view, and ranks
+those images in int64 rows.  :func:`span_kernel_sizes` is the span
+route the rank route replaced before that: it spans every D_a from its
+basis images, computed for all shifts at once by the collapsed form on
+the tables, and counts zeros, O(4^w).  :func:`histogram_spectrum` is
+the histogram route the library's definition route replaced: it
+bincounts F(x) + F(x + a) over every x for every shift, O(4^w), and
+assumes nothing about the degree of F.
 """
 
 import functools
@@ -33,7 +36,7 @@ import numpy as np
 
 from apnforge.compatibility import eval_compat_poly
 from apnforge.differential import value_table
-from apnforge.field import roots_of_unity
+from apnforge.field import gf2_reduce, roots_of_unity
 from apnforge.hexanomial import collapsed_coeffs, collapsed_form, eval_derivative_linear
 
 
@@ -280,4 +283,18 @@ def span_kernel_sizes(p):
     out = np.zeros(p.field.size, dtype=np.int64)
     for a in range(1, p.field.size):
         out[a] = int(np.count_nonzero(derivative_table_linear(p, a) == 0))
+    return out
+
+
+def per_shift_kernel_sizes(p):
+    """|ker D_a| = 2^(w - rank) for every a (index 0 unused), from the collapsed form's
+    images D_a(X^i) for every shift, eliminated in int64 rows."""
+    w, ops = p.field.w, p.field.array_ops
+    coeffs = collapsed_coeffs(ops, p, np.arange(1, p.field.size, dtype=np.int64))
+    images = (collapsed_form(ops, p, coeffs, 1 << i) for i in range(w))
+    basis = np.zeros((w, p.field.size - 1), dtype=np.int64)
+    for _ in gf2_reduce(images, basis):
+        pass
+    out = np.zeros(p.field.size, dtype=np.int64)
+    out[1:] = np.left_shift(1, w - np.count_nonzero(basis, axis=0))
     return out

@@ -126,6 +126,7 @@ def _assert_routes_match_oracles(p):
     assert (value_table(p) == hexanomial.hexanomial_form(oracle.TableOps(p.field), p, xs)).all()
     ks = kernel_sizes(p)
     assert (ks == oracle.span_kernel_sizes(p)).all(), p.to_dict()
+    assert (ks == oracle.per_shift_kernel_sizes(p)).all(), p.to_dict()
     spec = derivative_spectrum(p)
     assert (spec.kernels == ks).all(), p.to_dict()
     hists = oracle.histogram_spectrum(p)
@@ -143,6 +144,57 @@ def test_rank_route_matches_span_route():
     assert seen == {frozenset(s) for s in ({2}, {4}, {8}, {2, 4}, {2, 8}, {4, 16})}
     for p in [params(5, 2, 3), params(6, 1, 2)]:
         _assert_routes_match_oracles(p)
+
+
+@pytest.mark.parametrize(
+    "m, n, c, sizes",
+    [
+        (6, 2, 5, {4, 64}),
+        (6, 4, 0, None),
+        (6, 3, 0, None),
+        (3, 3, 0, None),
+        (5, 5, 7, None),
+        (8, 1, None, {2}),
+    ],
+)
+def test_kernel_route_matches_per_shift_oracle(m, n, c, sizes):
+    """The bilinear kernel route against the per-shift collapsed form it replaced, on
+    mixed kernels, gcd > 1 and w = 16 (the compatible c, which is APN)."""
+    p = params(m, n, find_compatible_c(m, n, make_field(2 * m)) if c is None else c)
+    ks = kernel_sizes(p)
+    assert (ks == oracle.per_shift_kernel_sizes(p)).all(), p.to_dict()
+    if sizes is not None:
+        assert set(ks[1:].tolist()) == sizes
+
+
+@pytest.mark.parametrize("m, n, c", [(2, 1, 9), (3, 2, 5), (6, 1, 2), (6, 4, 0), (8, 3, 7)])
+def test_kernel_route_images_are_bilinear(m, n, c):
+    """Row X^j of the kernel route's images is B(X^j, X^.) = F(X^j + X^.) + F(X^j) + F(X^.)
+    with F on the oracle's table ops, and the images built by doubling over the bits of
+    seeded shifts a are B(a, X^.) as well."""
+    p = params(m, n, c)
+    ops = oracle.TableOps(p.field)
+
+    def F(x):
+        return hexanomial.hexanomial_form(ops, p, x)
+
+    images = differential.bilinear_images(p)
+    assert images.dtype == np.int32 and images.shape == (p.field.w, p.field.size)
+    basis = 1 << np.arange(p.field.w)
+    tensor = images[:, basis].T  # tensor[j, i] = B(X^j, X^i)
+    assert (tensor == F(basis[:, None] ^ basis) ^ F(basis[:, None]) ^ F(basis)).all()
+    rng = random.Random(2 * m)
+    a = np.array([rng.randrange(1, p.field.size) for _ in range(200)])[:, None]
+    assert (images[:, a[:, 0]].T == F(a ^ basis) ^ F(a) ^ F(basis)).all()
+
+
+def test_kernel_route_never_reads_the_value_table(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("the kernel route read F's value table")
+
+    p = params(5, 2, 3)
+    monkeypatch.setattr(differential, "value_table", must_not_run)
+    assert (kernel_sizes(p) == oracle.per_shift_kernel_sizes(p)).all()
 
 
 def test_array_ops_match_field_ops():

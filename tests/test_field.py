@@ -13,6 +13,7 @@ from apnforge.field import (
     Field,
     FieldMismatchError,
     SizeLimitError,
+    gf2_reduce,
     is_irreducible,
     least_irreducible,
     make_field,
@@ -332,3 +333,22 @@ def test_oracle_exp_log_tables_consistent():
         assert exp[log[x]] == x
     for i in (0, 1, 7, f.order - 1):
         assert exp[i] == exp[i + f.order] == oracle.gfpow(f.generator, i, f.modulus)
+
+
+@pytest.mark.parametrize("w", [8, 16, 24])
+def test_gf2_reduce_is_the_same_on_int32_and_int64(w):
+    """The rank routes eliminate in int32 rows, the c search in int64: seeded vectors of
+    rank about w/2 with tags above bit w (within bit 30) give the same bases and residues."""
+    rng = np.random.default_rng(w)
+    gens = rng.integers(0, 1 << w, size=(w // 2, 300))
+    picks = rng.integers(0, 2, size=(w + 6, w // 2, 1))
+    low = np.bitwise_xor.reduce(gens * picks, axis=1)
+    vectors = low | (1 << (w + np.arange(w + 6) % (31 - w)))[:, None]
+    runs = []
+    for dtype in (np.int32, np.int64):
+        basis = np.zeros((w, 300), dtype=dtype)
+        residues = list(gf2_reduce(vectors.astype(dtype), basis))
+        runs.append((basis.astype(np.int64), np.array(residues, dtype=np.int64)))
+    (basis32, res32), (basis64, res64) = runs
+    assert np.array_equal(basis32, basis64) and np.array_equal(res32, res64)
+    assert np.count_nonzero(basis64) and np.count_nonzero(res64)
