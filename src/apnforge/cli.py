@@ -84,31 +84,29 @@ def load_modulus_table(path: str) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared across subcommands, resolved from flags and environment."""
+    """Knobs resolved from flags and environment; a flag the subcommand lacks is None."""
 
-    m_range: tuple[int, int]
-    n_range: tuple[int, int]
+    m_range: tuple[int, int] | None
+    n_range: tuple[int, int] | None
     modulus_table: Mapping[int, int]
     fmt: str
     out: str | None
-    cap_spectrum: int
-    cap_ddt: int
-    seed: int
+    cap_spectrum: int | None
+    cap_ddt: int | None
+    seed: int | None
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        table_path = getattr(args, "modulus_table", None) or os.environ.get(
-            ENV_MODULUS_TABLE
-        )
+        table_path = args.modulus_table or os.environ.get(ENV_MODULUS_TABLE)
         return cls(
-            m_range=parse_range(getattr(args, "m_range", None) or "1..6"),
-            n_range=parse_range(getattr(args, "n_range", None) or "1..12"),
+            m_range=parse_range(args.m_range) if "m_range" in args else None,
+            n_range=parse_range(args.n_range) if "n_range" in args else None,
             modulus_table=load_modulus_table(table_path) if table_path else {},
-            fmt=getattr(args, "format", "json"),
-            out=getattr(args, "out", None),
-            cap_spectrum=getattr(args, "cap_spectrum", SPECTRUM_DEGREE_CAP),
-            cap_ddt=getattr(args, "cap_ddt", DDT_DEGREE_CAP),
-            seed=getattr(args, "seed", 0),
+            fmt=args.format,
+            out=args.out,
+            cap_spectrum=getattr(args, "cap_spectrum", None),
+            cap_ddt=getattr(args, "cap_ddt", None),
+            seed=getattr(args, "seed", None),
         )
 
 

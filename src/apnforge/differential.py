@@ -3,23 +3,26 @@
 F is quadratic, so each derivative is affine with linear part B(a, .),
 B(a, y) = F(a + y) + F(a) + F(y) + F(0) being F_2-bilinear: its nonzero
 fibers are cosets of one kernel, whose size fixes the fiber histogram.
-Two routes give |ker| for every shift a != 0 as 2^(w - rank), with the
-F_2-rank of the w images B(a, X^i) from one elimination in int32 rows
-vectorized over all shifts (:func:`gf2_reduce`), O(w^2 2^w).  They
-differ only in where the images come from:
+|ker| at every shift a != 0 is 2^(w - rank), with the F_2-rank of the w
+images B(a, X^i) from one elimination in int32 rows vectorized over all
+shifts (:func:`gf2_reduce`), O(w^2 2^w).  Two independent routes give
+those images, and :func:`derivative_spectrum` ranks them only once they
+agree image by image:
 
+* the kernel route builds them by XOR from the w^2 values B(X^j, X^i) of
+  the linearized form in :mod:`apnforge.hexanomial`, whose coefficients
+  the spot check holds to the definition of D_a on seeded (a, x) pairs;
+  it never reads F's table;
 * the definition route reads them off a table of F (its formula on the
-  field's array view), once a Moebius transform has certified the table
-  quadratic and the scalar F has matched it at every x of weight <= 2,
-  the points that fix a quadratic map;
-* the kernel route never reads that table: it builds every shift's
-  images by XOR from the w^2 values B(X^j, X^i) of the linearized form
-  in :mod:`apnforge.hexanomial`, whose coefficients the spot check
-  holds to the definition of D_a on seeded (a, x) pairs.
+  field's array view), once the scalar F has matched the table at every
+  x of weight <= 2, the points that fix a quadratic map.
 
-They must agree at every shift, or :class:`CrossCheckError` replaces the
-verdict; the test suite holds each route to its own oracle as well.  A
-map is 2^k-to-one exactly when every kernel has size 2^k; APN is k = 1.
+The kernel route's images are linear in a, so their agreement at every
+shift makes every derivative of the table affine: that is the certificate
+that the table is quadratic, and it makes the two routes' ranks equal by
+construction.  A disagreement raises :class:`CrossCheckError` instead of
+a verdict; the test suite holds each route to its own oracle as well.
+A map is 2^k-to-one exactly when every kernel has size 2^k; APN is k = 1.
 Spectra are capped (w <= 16 by default and always in
 :func:`verify_instance`); the O(4^w) difference distribution table is
 capped tighter (default w <= 12) and made a block of rows at a time.
@@ -94,37 +97,37 @@ def check_degree(what: str, w: int, degree_cap: int) -> None:
         raise SizeLimitError(f"{what} for w={w} exceeds cap {degree_cap}")
 
 
-def _check_quadratic(p: BCParams, ftab: np.ndarray) -> None:
-    """Raise CrossCheckError unless the table has ANF degree <= 2 (a binary Moebius
-    transform) and equals the scalar F at every x of weight <= 2, which fix a quadratic map."""
+def _check_table(p: BCParams, images: np.ndarray) -> None:
+    """Raise CrossCheckError unless F's value table equals the scalar F at every x of
+    weight <= 2 and gives F(a + X^i) + F(a) + F(X^i) + F(0) = images[i, a] at every shift a
+    and basis index i.  The images are linear in a, so agreement makes every D_{X^i} of the
+    table affine: it is quadratic, with the linearized bilinear form."""
     w = p.field.w
-    anf = ftab.copy()
-    for i in range(w):
-        halves = anf.reshape(-1, 2, 1 << i)
-        halves[:, 1] ^= halves[:, 0]
-    low = [0] + [1 << i | 1 << j for i in range(w) for j in range(i, w)]  # weight <= 2
-    anf[low] = 0
-    high = np.flatnonzero(anf)
-    if high.size:
-        u = int(high[0])
-        raise CrossCheckError(f"F is not quadratic: ANF monomial {u:#x} (weight {u.bit_count()})")
-    for x in low:
+    ftab = value_table(p)
+    for x in [0] + [1 << i | 1 << j for i in range(w) for j in range(i, w)]:
         if int(ftab[x]) != eval_hexanomial(p, x):
             raise CrossCheckError(f"value table disagrees with F at x={x:#x}")
+    ftab = ftab.astype(np.int32)
+    base = ftab ^ ftab[0]
+    shifts = np.arange(p.field.size)
+    for i, image in enumerate(images):
+        row = ftab[shifts ^ (1 << i)] ^ base ^ ftab[1 << i]
+        bad = np.flatnonzero(row != image)
+        if bad.size:
+            a = int(bad[0])
+            raise CrossCheckError(
+                f"shift a={a:#x}, basis X^{i}: value table {int(row[a]):#x}"
+                f" vs kernel route {int(image[a]):#x}"
+            )
 
 
 def derivative_spectrum(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP) -> DerivativeSpectrum:
-    """|ker| for every a != 0 from the value table alone: the definition route, whose
-    images B(a, X^i) are w table lookups per shift once F is certified quadratic."""
+    """|ker| for every a != 0 from the kernel route's images B(a, X^i), once F's value
+    table has given the same image at every shift (:func:`_check_table`)."""
     check_degree("spectrum", p.field.w, degree_cap)
-    w = p.field.w
-    ftab = value_table(p)
-    _check_quadratic(p, ftab)
-    ftab = ftab.astype(np.int32)
-    shifts = np.arange(1, p.field.size)
-    base = ftab[shifts] ^ ftab[0]
-    images = (ftab[shifts ^ (1 << i)] ^ base ^ ftab[1 << i] for i in range(w))
-    return DerivativeSpectrum(_kernels_from_images(images, w))
+    images = bilinear_images(p)
+    _check_table(p, images)  # its table and gathered rows are freed before the elimination
+    return DerivativeSpectrum(_kernels_from_images(images[:, 1:], p.field.w))
 
 
 def _kernels_from_images(images, w: int) -> np.ndarray:
@@ -163,7 +166,9 @@ def _coset_histogram(size: int, kernel: int) -> dict[int, int]:
 
 
 def cross_check_spectrum(p: BCParams, spec: DerivativeSpectrum) -> None:
-    """Raise CrossCheckError unless the definition and kernel routes agree at every shift."""
+    """Raise CrossCheckError unless spec's kernels equal the kernel route's at every shift:
+    the per-shift reference for tests and the benchmark replay.  :func:`verify_instance`
+    no longer calls it, since :func:`derivative_spectrum` compares the images themselves."""
     ks = kernel_sizes(p)
     bad = np.flatnonzero(spec.kernels != ks)
     if bad.size:
@@ -197,18 +202,17 @@ def _spot_check(p: BCParams, seed: int) -> dict:
 def verify_instance(
     p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP, seed: int = 0
 ) -> tuple[DerivativeSpectrum, dict]:
-    """The whole exact check: (the cross-checked spectrum, the spot check's record).
+    """The whole exact check: (the certified spectrum, the spot check's record).
 
     The spectrum cap is checked before any work and never exceeds w = 16:
-    both rank routes hold all 2^w shifts at once, unchunked (at w = 20 the
-    definition route took 3.7 s and the kernel route 2.0 s, with a 246 MiB
-    peak, one in-process run on a 2-core Xeon); raising it waits on chunked
-    routes and a predicted-memory check.  Both routes and the spot check run;
-    any failed certificate or disagreement raises :class:`CrossCheckError`
-    instead of a verdict.  No report is built.
+    the routes hold all 2^w shifts at once, unchunked (at w = 20 the whole
+    check took 3.6 s with a 245 MiB peak, one in-process run on a 2-core Xeon);
+    raising it waits on chunked routes and a predicted-memory check.  The
+    routes' images are compared at every shift and ranked once, and the spot
+    check runs; any failed certificate or disagreement raises
+    :class:`CrossCheckError` instead of a verdict.  No report is built.
     """
     spec = derivative_spectrum(p, min(degree_cap, SPECTRUM_DEGREE_CAP))
-    cross_check_spectrum(p, spec)
     return spec, _spot_check(p, seed)
 
 

@@ -177,10 +177,6 @@ class Field:
             raise ValueError(f"{d} does not divide field degree {self.w}")
         return self.frobenius(x, d) == x
 
-    def elements(self) -> range:
-        """All elements in canonical (integer) order."""
-        return range(self.size)
-
     # -- serialization -------------------------------------------------------
 
     def element_hex(self, x: int) -> str:

@@ -26,7 +26,9 @@ basis images, computed for all shifts at once by the collapsed form on
 the tables, and counts zeros, O(4^w).  :func:`histogram_spectrum` is
 the histogram route the library's definition route replaced: it
 bincounts F(x) + F(x + a) over every x for every shift, O(4^w), and
-assumes nothing about the degree of F.
+assumes nothing about the degree of F.  :func:`anf_degree` is the
+degree certificate the library's image-by-image route comparison
+replaced: a binary Moebius transform of a value table.
 """
 
 import functools
@@ -190,7 +192,7 @@ def search_c(field, m, n):
     compatible c or None, number of candidates examined)."""
     ops = TableOps(field)
     roots = roots_of_unity(field, (1 << m) + 1)
-    for c in field.elements():
+    for c in range(field.size):
         if all(eval_compat_poly(ops, m, n, c, y) != 0 for y in roots):
             return c, c + 1
     return None, field.size
@@ -239,7 +241,7 @@ def histogram_spectrum(p):
 
 def derivative_kernel(p, a):
     """Exhaustive kernel of D_a; always contains F_{2^k} as a subset."""
-    return {x for x in p.field.elements() if eval_derivative_linear(p, a, x) == 0}
+    return {x for x in range(p.field.size) if eval_derivative_linear(p, a, x) == 0}
 
 
 def derivative_table(p, a):
@@ -298,3 +300,14 @@ def per_shift_kernel_sizes(p):
     out = np.zeros(p.field.size, dtype=np.int64)
     out[1:] = np.left_shift(1, w - np.count_nonzero(basis, axis=0))
     return out
+
+
+def anf_degree(table):
+    """Algebraic degree of the map with this value table over 2^w points: the largest
+    weight of a monomial in its algebraic normal form, by the binary Moebius transform
+    (-1 for the zero map)."""
+    anf = np.array(table, dtype=np.int64)
+    for i in range(len(anf).bit_length() - 1):
+        halves = anf.reshape(-1, 2, 1 << i)
+        halves[:, 1] ^= halves[:, 0]
+    return max((u.bit_count() for u in np.flatnonzero(anf).tolist()), default=-1)

@@ -38,6 +38,18 @@ def test_parse_range():
             parse_range(bad)
 
 
+def test_run_config_holds_only_the_subcommands_flags(monkeypatch):
+    """Defaults live in the parser alone: a flag the subcommand lacks is None."""
+    monkeypatch.delenv(ENV_MODULUS_TABLE, raising=False)
+    parser = cli.build_parser()
+    verify = cli.RunConfig.from_args(parser.parse_args(["verify", "--m", "2", "--n", "1"]))
+    assert verify.m_range is None and verify.n_range is None
+    assert (verify.cap_spectrum, verify.cap_ddt, verify.seed) == (16, 12, 0)
+    sweep = cli.RunConfig.from_args(parser.parse_args(["sweep"]))
+    assert (sweep.m_range, sweep.n_range, sweep.fmt) == ((1, 6), (1, 12), "json")
+    assert (sweep.cap_spectrum, sweep.cap_ddt, sweep.seed) == (None, None, None)
+
+
 def test_sweep_json(capsys):
     code, out, _ = run(capsys, "sweep", "--m-range", "1..2", "--n-range", "1..2")
     assert code == EXIT_OK

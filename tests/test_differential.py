@@ -120,10 +120,11 @@ def test_kernel_route_matches_exhaustive_kernels():
 
 
 def _assert_routes_match_oracles(p):
-    """Value table vs F on the oracle's table ops, kernel route vs span oracle,
-    definition route vs kernel route and histogram oracle."""
+    """Value table vs F on the oracle's table ops and of ANF degree 2, kernel route vs
+    span oracle, definition route vs kernel route and histogram oracle."""
     xs = np.arange(p.field.size)
     assert (value_table(p) == hexanomial.hexanomial_form(oracle.TableOps(p.field), p, xs)).all()
+    assert oracle.anf_degree(value_table(p)) == 2, p.to_dict()
     ks = kernel_sizes(p)
     assert (ks == oracle.span_kernel_sizes(p)).all(), p.to_dict()
     assert (ks == oracle.per_shift_kernel_sizes(p)).all(), p.to_dict()
@@ -138,7 +139,7 @@ def test_rank_route_matches_span_route():
     """Every c for six (m, n) pairs (480 instances), plus one instance at w = 10 and 12."""
     seen = set()
     for m, n in [(2, 1), (3, 1), (3, 2), (4, 2), (2, 2), (3, 3)]:
-        for c in make_field(2 * m).elements():
+        for c in range(make_field(2 * m).size):
             ks = _assert_routes_match_oracles(params(m, n, c))
             seen.add(frozenset(ks[1:].tolist()))
     assert seen == {frozenset(s) for s in ({2}, {4}, {8}, {2, 4}, {2, 8}, {4, 16})}
@@ -205,7 +206,7 @@ def test_array_ops_match_field_ops():
         f = make_field(w)
         ops, ref = f.array_ops, oracle.TableOps(f)
         xs = np.arange(f.size)
-        for y in f.elements():
+        for y in range(f.size):
             assert (ops.mul(xs, y) == ref.mul(xs, y)).all()
         for t in range(2 * w):
             assert (ops.frobenius(xs, t) == ref.frobenius(xs, t)).all()
@@ -270,7 +271,7 @@ def test_r_to_one_for_five_canonical_c_when_m_divides_n():
     pairs = [(m, n) for m in range(1, 7) for n in range(m, 13, m)]
     for m, n in pairs:
         f = make_field(2 * m)
-        for c in f.elements()[: min(5, f.size)]:
+        for c in range(min(5, f.size)):
             p = BCParams(m=m, n=n, field=f, c=c, d=default_d(f, m))
             assert p.u == p.r
             assert is_t_to_one(p, p.r)
@@ -284,13 +285,23 @@ def test_cross_check_raises_on_tampered_histogram():
 
 
 def test_definition_route_refuses_a_non_quadratic_table(monkeypatch):
-    """x^7 has algebraic degree 3: the degree certificate fails instead of a verdict."""
+    """x^7 has algebraic degree 3, and F off by the cubic monomial x0 x1 x2 agrees with F
+    at every x of weight <= 2: both are refused instead of a verdict, the second at the
+    first shift where a derivative of the table stops being affine."""
     p = params(4, 1, 0)
-    x7 = [p.field.pow(x, 7) for x in p.field.elements()]
+    x7 = [p.field.pow(x, 7) for x in range(p.field.size)]
     monkeypatch.setattr(differential, "value_table", lambda p: np.array(x7))
-    with pytest.raises(CrossCheckError, match=r"not quadratic: ANF monomial 0x7 \(weight 3\)"):
+    with pytest.raises(CrossCheckError):
         derivative_spectrum(p)
-    with pytest.raises(CrossCheckError, match="ANF monomial"):
+    with pytest.raises(CrossCheckError):
+        is_apn(p)
+    xs = np.arange(p.field.size)  # the test module's value_table is still the library's
+    cubic = value_table(p) ^ ((xs & 7) == 7)
+    assert oracle.anf_degree(cubic) == 3
+    monkeypatch.setattr(differential, "value_table", lambda p: cubic)
+    with pytest.raises(CrossCheckError, match="shift a=0x6, basis X\\^0: "):
+        derivative_spectrum(p)
+    with pytest.raises(CrossCheckError, match="shift a="):
         is_apn(p)
 
 
@@ -307,10 +318,42 @@ def test_definition_route_refuses_a_table_off_by_an_affine_map(monkeypatch):
 
 def test_is_apn_raises_when_kernel_route_disagrees(monkeypatch):
     monkeypatch.setattr(
-        differential, "kernel_sizes", lambda p: np.ones(p.field.size, dtype=np.int64)
+        differential, "bilinear_images", lambda p: np.ones((p.field.w, p.field.size), np.int32)
     )
-    with pytest.raises(CrossCheckError):
+    with pytest.raises(CrossCheckError, match="shift a=0x0, basis X\\^0: value table 0x0"):
         is_apn(APN_21)
+
+
+def test_a_rank_preserving_image_swap_is_refused(monkeypatch):
+    """Swapping two of the kernel route's images at one shift keeps every rank, so
+    comparing the routes' kernel sizes misses it; comparing their images does not."""
+    orig = differential.bilinear_images
+
+    def swapped(p):
+        images = orig(p)
+        images[[0, 1], 4] = images[[1, 0], 4]
+        return images
+
+    ranks = differential._kernels_from_images(swapped(APN_21)[:, 1:], APN_21.field.w)
+    assert (ranks == kernel_sizes(APN_21)).all()
+    monkeypatch.setattr(differential, "bilinear_images", swapped)
+    with pytest.raises(CrossCheckError, match="shift a=0x4, basis X\\^0: "):
+        is_apn(APN_21)
+
+
+def test_verify_instance_ranks_once(monkeypatch):
+    """One elimination per verify, and no second route ranked for comparison."""
+    calls = {"_kernels_from_images": 0, "cross_check_spectrum": 0}
+    for name in calls:
+        orig = getattr(differential, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(differential, name, counted)
+    differential.verify_instance(params(3, 2, 3))
+    assert calls == {"_kernels_from_images": 1, "cross_check_spectrum": 0}
 
 
 def test_is_apn_runs_the_spot_check(monkeypatch):
@@ -371,7 +414,7 @@ def test_is_t_to_one_verdicts():
 def test_apn_for_every_c_when_m_is_one():
     f4 = make_field(2)
     for n in (1, 2, 3):
-        for c in f4.elements():
+        for c in range(f4.size):
             assert is_apn(params(1, n, c))
 
 
