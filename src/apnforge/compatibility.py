@@ -13,9 +13,10 @@ Three views of the same question live here and check each other:
 
 * exhaustive search -- the least c, in canonical order, whose polynomial
   vanishes at no root of mu_{r+1} (:func:`find_compatible_c`), read off
-  the union of each root's vanishing coset instead of a candidate scan;
-  a sweep decides every n of one m in one search, the (n, root) pairs
-  sharing each elimination (:func:`sweep_reports`);
+  the union of each root's vanishing coset instead of a candidate scan,
+  window by window, the images of the basis joining the elimination only
+  when a window needs them; a sweep decides every n of one m in one
+  search, the (n, root) pairs sharing each elimination (:func:`sweep_reports`);
 * the exact closed-form criterion -- compatible c exist iff m > 1 and
   n/m is not an odd integer (:func:`compatibility_predicate`), whose
   integer core is the divisibility fact (2^m + 1) | (2^n + 1) iff n/m is
@@ -25,10 +26,11 @@ Three views of the same question live here and check each other:
   witnesses inside F_r union mu_{r+1} (:func:`witnesses`).
 
 The polynomial is written once (:func:`eval_compat_poly`), generic over
-field ops: the search and :func:`vanishing_coeff_set` evaluate it at
-c = 0, X^0, ..., X^(w-1) and :func:`is_compatible_c` at one c, on the
-field's array view, the witness report on the scalar field.  Everything
-is deterministic; a sweep re-run must be byte-identical.
+field ops: the search evaluates it at c = 0 and at as many of X^0, ...,
+X^(w-1) as its windows read, :func:`vanishing_coeff_set` at all of them
+and :func:`is_compatible_c` at one c, on the field's array view, the
+witness report on the scalar field.  Everything is deterministic; a
+sweep re-run must be byte-identical.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ import numpy as np
 from .field import Field, SizeLimitError, gf2_reduce, make_field, roots_of_unity
 from .hexanomial import instance_field
 
-# Values per array in either step of the c search: w + 1 per root in the
-# elimination, up to 2^(kernel dimension) per root when marking.
+# Values per array in either step of the c search: one per image and column as
+# images join, up to 2^(kernel dimension) per column when marking.  A group of n
+# takes about this many columns.
 _CHUNK_VALUES = 1 << 14
 
 COMPAT_CSV_COLUMNS = (
@@ -81,33 +84,58 @@ def is_compatible_c(c: int, m: int, n: int, field: Field | None = None) -> bool:
     return bool(eval_compat_poly(field.array_ops, m, n, c, _unity_roots(field, m)).all())
 
 
-def _cosets(field: Field, m: int, n, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each root's vanishing set as (least, kernel): one GF(2) elimination over the roots.
+class _Cosets:
+    """Each column's vanishing set, from the images of X^0..X^(fed-1) fed so far.
 
-    n is an int or an int64 array of one n per root: the columns may be the
-    (n, root) pairs of several n.
-
-    c -> P(c, y) + P(0, y) is F_2-linear, so the c with P(c, y) = 0 form a
-    coset of its kernel, or none.  The images of X^0, X^1, ... join the
-    elimination in that order, tagged by their index in bits w..2w-1, so a
-    dependent image's tags are a kernel element whose leading bit is its own
-    index: kernel[i] (0 where there is none) is an echelon basis.  The
-    target P(0, y), marked by bit 2w so that a solvable target never
-    leaves residue 0, reduces to a particular solution.  Its tags come from
-    independent images only, so it is 0 at every leading bit of the kernel
-    basis: it is already the coset's least element (least is 2^w when the
-    set is empty).
+    Column j is the pair (n[j], y[j]): the columns may be the (n, root) pairs of
+    several n.  c -> P(c, y) + P(0, y) is F_2-linear, so the c with P(c, y) = 0
+    form a coset of its kernel, or none.  Image i joins the elimination tagged by
+    bit w + i, so a dependent image's residue tags a kernel element whose leading
+    bit is its own index: kernel[i] (0 where there is none) is an echelon basis.
+    The target P(0, y) is reduced by each new pivot as it joins (one step: the new
+    basis vector is 0 at every earlier pivot), so its tags come from independent
+    images only and are 0 at every leading bit of the kernel basis: once its low
+    part is 0 they are the coset's least element (:meth:`least`).  Below 2^fed
+    that element and the kernel rows with leading bit < fed are those of the full
+    elimination, however many images are still to come.
     """
-    w = field.w
-    if w > 31:  # the tags take bits w..2w of an int64
-        raise SizeLimitError(f"c search for w={w} exceeds 31")
-    units = np.array([1 << i for i in range(w)] + [0], dtype=np.int64)[:, None]
-    vectors = eval_compat_poly(field.array_ops, m, n, units, roots)
-    vectors[:w] ^= vectors[w]  # the linear part's images; row w is the target
-    vectors |= np.left_shift(1, np.arange(w, 2 * w + 1))[:, None]
-    basis = np.zeros((w, len(roots)), dtype=np.int64)
-    *kernel, target = (r >> w for r in gf2_reduce(vectors, basis))
-    return target ^ field.size, np.array(kernel, dtype=np.int32)
+
+    def __init__(self, field: Field, m: int, n: np.ndarray, y: np.ndarray):
+        if field.w > 31:  # the tags take bits w..2w-1 of an int64
+            raise SizeLimitError(f"c search for w={field.w} exceeds 31")
+        self.field, self.m, self.n, self.y, self.fed = field, m, n, y, 0
+        self.zero = eval_compat_poly(field.array_ops, m, n, 0, y)  # P(0, y)
+        self.target = self.zero.copy()
+        self.basis = np.zeros((field.w, len(y)), dtype=np.int64)
+        self.kernel = np.zeros((field.w, len(y)), dtype=np.int32)
+
+    def feed(self, k: int) -> None:
+        """The images of X^fed..X^(k-1) join, over chunks of columns whose values fill
+        about _CHUNK_VALUES."""
+        w, low = self.field.w, self.field.order
+        index = np.arange(self.fed, k)
+        units, tags = np.left_shift(1, index)[:, None], np.left_shift(1, w + index)[:, None]
+        step = max(1, _CHUNK_VALUES // len(index))
+        for lo in range(0, len(self.y), step):
+            part = slice(lo, lo + step)
+            images = eval_compat_poly(self.field.array_ops, self.m, self.n[part], units, self.y[part])
+            target = self.target[part]
+            for i, r in zip(index, gf2_reduce(images ^ self.zero[part] | tags, self.basis[:, part])):
+                self.kernel[i, part] = np.where(r & low, 0, r >> w)
+                # a joined r: of target and target ^ r, the one 0 at r's leading bit
+                # has the smaller low part; a dependent r (low part 0) changes nothing
+                np.copyto(target, target ^ r, where=(target ^ r) & low < target & low)
+        self.fed = k
+
+    def least(self) -> np.ndarray:
+        """Each column's least c < 2^fed that vanishes there, or 2^w where there is none."""
+        return np.where(self.target & self.field.order, self.field.size, self.target >> self.field.w)
+
+    def keep(self, columns: np.ndarray) -> None:
+        """Only the columns where the boolean mask `columns` is set stay."""
+        self.n, self.y = self.n[columns], self.y[columns]
+        self.zero, self.target = self.zero[columns], self.target[columns]
+        self.basis, self.kernel = self.basis[:, columns], self.kernel[:, columns]
 
 
 def _coset_elements(least: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -126,44 +154,42 @@ def _search_c(field: Field, m: int, ns: Sequence[int]) -> list[int | None]:
     """The least compatible c, or None, for each n in ns.
 
     n enters the polynomial only through y^s, so the (n, root) pairs of
-    several n share one elimination as its columns.  The n go in groups
-    whose columns fill about one elimination chunk (one n at least, its
-    roots then a chunk at a time), so no array holds more than about
-    _CHUNK_VALUES values.
+    several n share one elimination as its columns.  The n go in groups of
+    at most about _CHUNK_VALUES columns (one n at least).
     """
-    w, roots = field.w, _unity_roots(field, m)
-    step = max(1, _CHUNK_VALUES // (w + 1))
-    per_group = max(1, step // len(roots))
+    roots = _unity_roots(field, m)
+    per_group = max(1, _CHUNK_VALUES // len(roots))
     found = []
     for lo in range(0, len(ns), per_group):
         group = np.array(ns[lo : lo + per_group], dtype=np.int64)
-        col_n, col_y = np.repeat(group, len(roots)), np.tile(roots, len(group))
-        least = np.empty(len(col_y), dtype=np.int64)
-        kernel = np.empty((w, len(col_y)), dtype=np.int32)
-        for first in range(0, len(col_y), step):
-            part = slice(first, first + step)
-            least[part], kernel[:, part] = _cosets(field, m, col_n[part], col_y[part])
-        shape = (len(group), len(roots))
-        found += _least_unmarked(w, least.reshape(shape), kernel.reshape(w, *shape))
+        cosets = _Cosets(field, m, np.repeat(group, len(roots)), np.tile(roots, len(group)))
+        found += _least_unmarked(cosets, len(group))
     return found
 
 
-def _least_unmarked(w: int, least: np.ndarray, kernel: np.ndarray) -> list[int | None]:
-    """Per row of (least, kernel) from :func:`_cosets`, shaped (rows, roots) and
-    (w, rows, roots): the least c in no column's coset, or None.
+def _least_unmarked(cosets: _Cosets, count: int) -> list[int | None]:
+    """For each of `count` rows, equally many consecutive columns of `cosets`: the
+    least c in no column's coset, or None.
 
     The c below 2^k that vanish at a column are least XOR the span of its kernel
-    rows with leading bit below k when least < 2^k, and none otherwise.  Window
-    k = 0, 1, ... marks them for every undecided row at once, row i in the stretch
-    i << k of one array.  A row's first window with an unmarked c decides it and it
-    leaves the windows, so a found c costs the window of its own bit length.
+    rows with leading bit below k when least < 2^k, and none otherwise, so window k
+    reads only the images of X^0..X^(k-1): they join lazily, in batches of doubling
+    size, just before the first window that needs them.  Window k = 0, 1, ... marks
+    those c for every undecided row at once, row i in the stretch i << k of one
+    array.  A row's first window with an unmarked c decides it, and its columns
+    leave before the next image, so a found c costs the window and about the
+    images of its own bit length.
     """
-    found: list[int | None] = [None] * len(least)
-    rows = np.arange(len(least))
+    w, per_row = cosets.field.w, len(cosets.y) // count
+    found: list[int | None] = [None] * count
+    rows = np.arange(count)
     for k in range(w + 1):
-        row, col = np.nonzero(least[rows] < 1 << k)
-        ker = kernel[:k, rows[row], col]
-        start = least[rows[row], col] | row << k
+        if k > cosets.fed:
+            cosets.feed(min(w, max(2, 2 * cosets.fed)))  # fed = 2, 4, 8, ..., always >= k
+        least = cosets.least().reshape(len(rows), per_row)
+        row, col = np.nonzero(least < 1 << k)
+        ker = cosets.kernel[:k].reshape(k, len(rows), per_row)[:, row, col]
+        start = least[row, col] | row << k
         marked = np.zeros(len(rows) << k, dtype=bool)
         step = max(1, _CHUNK_VALUES >> int(np.count_nonzero(ker, axis=0).max(initial=0)))
         for lo in range(0, len(start), step):
@@ -172,7 +198,9 @@ def _least_unmarked(w: int, least: np.ndarray, kernel: np.ndarray) -> list[int |
         done = ~marked.all(axis=1)
         for i, c in zip(rows[done].tolist(), marked[done].argmin(axis=1).tolist()):
             found[i] = c
-        rows = rows[~done]
+        if done.any():  # keep copies every column it keeps
+            rows = rows[~done]
+            cosets.keep(np.repeat(~done, per_row))
         if not len(rows):
             break
     return found
@@ -213,8 +241,10 @@ def vanishing_coeff_set(y: int, m: int, n: int, field: Field | None = None) -> s
     """All coefficient values a for which y is a root of the polynomial: a coset, or empty."""
     field = instance_field(m, n, field)
     _require_unity_root(field, m, y)
-    least, kernel = _cosets(field, m, n, np.array([y], dtype=np.int64))
-    return set(_coset_elements(least, kernel).tolist()) if least[0] < field.size else set()
+    cosets = _Cosets(field, m, np.array([n]), np.array([y], dtype=np.int64))
+    cosets.feed(field.w)  # the last window's images
+    least = cosets.least()
+    return set(_coset_elements(least, cosets.kernel).tolist()) if least[0] < field.size else set()
 
 
 def witnesses(y: int, m: int, n: int, field: Field | None = None) -> list[int]:

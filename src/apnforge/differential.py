@@ -109,9 +109,9 @@ def _check_table(p: BCParams, images: np.ndarray) -> None:
             raise CrossCheckError(f"value table disagrees with F at x={x:#x}")
     ftab = ftab.astype(np.int32)
     base = ftab ^ ftab[0]
-    shifts = np.arange(p.field.size)
     for i, image in enumerate(images):
-        row = ftab[shifts ^ (1 << i)] ^ base ^ ftab[1 << i]
+        # F(a + X^i) at every a: swap the halves of each block of 2^(i+1) shifts
+        row = ftab.reshape(-1, 2, 1 << i)[:, ::-1].ravel() ^ base ^ ftab[1 << i]
         bad = np.flatnonzero(row != image)
         if bad.size:
             a = int(bad[0])

@@ -60,16 +60,30 @@ def _poly_rem(p: int, m: int) -> int:
     return p
 
 
+def _square_mod(x: int, m: int) -> int:
+    """x^2 mod m over GF(2): squaring moves bit j to bit 2j, as base-4 digits do."""
+    return _poly_rem(int(format(x, "b"), 4), m)
+
+
+def _poly_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _poly_rem(a, b)
+    return a
+
+
 @functools.lru_cache(maxsize=None)
 def is_irreducible(f: int) -> bool:
-    """Trial division by every polynomial of degree 1..deg(f)//2, once per polynomial."""
+    """Ben-Or's test: f of degree n is irreducible iff gcd(X^(2^i) + X, f) = 1 for
+    i = 1..n//2, since X^(2^i) + X is the product of the irreducibles of degree dividing i."""
     if f < 0:
         raise ValueError(f"polynomial {f:#x} is negative")
     n = _poly_degree(f)
     if n <= 0:
         return False
-    for g in range(2, 1 << (n // 2 + 1)):
-        if _poly_rem(f, g) == 0:
+    x = 2  # X^(2^i) mod f
+    for _ in range(n // 2):
+        x = _square_mod(x, f)
+        if _poly_gcd(f, x ^ 2) != 1:
             return False
     return True
 
@@ -207,7 +221,7 @@ class _ArrayOps:
         # _frob[j, t] = (X^j)^(2^t), each column the square of the one before.
         images = [[1 << j for j in range(w)]]
         for _ in range(w - 1):
-            images.append([self.mul(v, v) for v in images[-1]])
+            images.append([_square_mod(v, modulus) for v in images[-1]])
         self._frob = np.array(images, dtype=np.int64).T
 
     def mul(self, x, y):
@@ -239,9 +253,9 @@ def gf2_reduce(vectors, basis: np.ndarray):
 
     basis[b] holds, column by column, a vector whose leading bit is b, or 0.
     Only bits below len(basis) pivot; higher bits ride along as tags, so a
-    dependent vector's residue tags the combination of earlier vectors that
-    cancels it.  A vector left with a nonzero low part joins the basis at its
-    leading bit and yields 0.
+    dependent vector's residue (low part 0) tags the combination of earlier
+    vectors that cancels it.  A residue with a nonzero low part joins the basis
+    at its leading bit; it is 0 at every earlier leading bit.
     """
     w = len(basis)
     low = (1 << w) - 1
@@ -251,7 +265,6 @@ def gf2_reduce(vectors, basis: np.ndarray):
         new = np.flatnonzero(v & low)
         lead = np.frexp(v[new] & low)[1] - 1  # x = mantissa * 2^exponent, mantissa in [0.5, 1)
         basis[lead, new] = v[new]
-        v[new] = 0
         yield v
 
 

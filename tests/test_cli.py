@@ -294,6 +294,9 @@ PINNED_STDOUT = [
     # Every exhaustive row up to w = 14.
     (("sweep", "--m-range", "1..7", "--n-range", "1..14", "--format", "csv"), EXIT_OK,
      "ccc9903d445972e327522ef195ca237852663ab44fa72a09155656b886c3fe88"),
+    # The full grid up to the field cap, every row of bc-empirical's m included.
+    (("sweep", "--m-range", "1..12", "--n-range", "1..24", "--format", "csv"), EXIT_OK,
+     "75a9236c07d7fe3bcbaeb18463ea65bff8063c890094053346de3d2c2a02a7fa"),
 ]
 
 

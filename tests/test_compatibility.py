@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -281,6 +282,43 @@ def test_search_matches_the_array_scan_up_to_m_8():
             rep = compat_report(m, n, f)
             assert (rep.found_c, rep.search_size) == oracle.array_search_c(f, m, n), (m, n)
             assert rep.consistent
+
+
+def test_prefix_cosets_are_the_full_sets_cut_below_the_prefix():
+    """Once the images of X^0..X^(k-1) have joined, each column's least c and its kernel
+    rows with leading bit < k give exactly the c < 2^k of its full vanishing set: what
+    window k reads is the same whatever images are still to come."""
+    for m in range(1, 4):
+        f = make_field(2 * m)
+        roots = np.array(roots_of_unity(f, (1 << m) + 1), dtype=np.int64)
+        for n in range(1, 7):
+            full = [oracle.vanishing_coeff_set(f, m, n, int(y)) for y in roots]
+            cosets = compatibility._Cosets(f, m, np.full(len(roots), n), roots)
+            for k in range(1, f.w + 1):
+                cosets.feed(k)
+                least = cosets.least()
+                for j, vanishing in enumerate(full):
+                    below = {c for c in vanishing if c < 1 << k}
+                    assert least[j] == min(below, default=f.size), (m, n, k, j)
+                    if below:
+                        ker = cosets.kernel[:k, j : j + 1]
+                        assert set(compatibility._coset_elements(least[j : j + 1], ker)) == below
+
+
+def test_found_row_evaluates_only_the_images_its_window_reads(monkeypatch):
+    """(12, 1) finds c = 9 in window 4, which reads the images of X^0..X^3: the search
+    evaluates P at those and at the target's c = 0, not at all w + 1 = 25 values."""
+    make_field(24)
+    evaluated = set()
+
+    def spy(f, m, n, c, y):
+        evaluated.update(np.ravel(c).tolist())
+        return eval_compat_poly(f, m, n, c, y)
+
+    monkeypatch.setattr(compatibility, "eval_compat_poly", spy)
+    assert find_compatible_c(12, 1) == 9
+    assert 0 in evaluated
+    assert evaluated <= {0} | {1 << i for i in range((9).bit_length())}, sorted(evaluated)
 
 
 def test_search_exhausts_odd_ratio_rows_beyond_the_oracle():

@@ -20,16 +20,33 @@ from apnforge.field import (
     roots_of_unity,
 )
 
-# Least irreducible polynomial per degree, frozen from the oracle scan.
+# Least irreducible polynomial of every degree up to the cap, frozen from the
+# trial-division scan.
 LEAST_MODULI = {
     1: 0x3,
     2: 0x7,
     3: 0xB,
     4: 0x13,
+    5: 0x25,
     6: 0x43,
+    7: 0x83,
     8: 0x11B,
+    9: 0x203,
     10: 0x409,
+    11: 0x805,
     12: 0x1009,
+    13: 0x201B,
+    14: 0x4021,
+    15: 0x8003,
+    16: 0x1002B,
+    17: 0x20009,
+    18: 0x40009,
+    19: 0x80027,
+    20: 0x100009,
+    21: 0x200005,
+    22: 0x400003,
+    23: 0x800021,
+    24: 0x100001B,
 }
 
 
@@ -52,13 +69,19 @@ def test_is_irreducible_agrees_with_product_oracle():
         assert is_irreducible(f) == oracle.irreducible_by_products(f)
 
 
+def test_is_irreducible_agrees_with_trial_division():
+    for f in range(1 << 13):
+        assert is_irreducible(f) == oracle.irreducible_by_trial_division(f), hex(f)
+
+
 def test_field_build_does_not_divide_its_modulus_again(monkeypatch):
-    """least_irreducible(24) has trial-divided the modulus; building the field on it
-    divides nothing more (each trial division reduces by polynomials in _poly_rem)."""
+    """least_irreducible(24) has tested the modulus; building the field on it tests
+    nothing more, since is_irreducible is cached (each test takes its gcds in _poly_gcd;
+    _poly_rem also squares the Frobenius table's columns)."""
     modulus = least_irreducible(24)
     divided = []
-    rem = field_module._poly_rem
-    monkeypatch.setattr(field_module, "_poly_rem", lambda p, g: divided.append(p) or rem(p, g))
+    gcd = field_module._poly_gcd
+    monkeypatch.setattr(field_module, "_poly_gcd", lambda a, b: divided.append(b) or gcd(a, b))
     assert Field(24).modulus == modulus
     assert divided == []
 
