@@ -42,6 +42,7 @@ from .differential import (
     SPECTRUM_DEGREE_CAP,
     SPOT_CHECK_SAMPLES,  # re-exported: the traced benchmark replay reads it from here
     CrossCheckError,
+    check_degree,
     csv_block,
     ddt_blocks,
     spectrum_report,
@@ -185,15 +186,18 @@ def _resolve_params(args: argparse.Namespace, cfg: RunConfig):
 
 def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     p, meta = _resolve_params(args, cfg)
-    # ddt_blocks refuses w over the cap at the call, so before the spectrum's work
-    ddt_rows = None if args.ddt_out is None else ddt_blocks(p, cfg.cap_ddt)
+    if args.ddt_out is not None:  # refused before the spectrum's work
+        check_degree("ddt", p.field.w, cfg.cap_ddt)
     spec, spot = verify_instance(p, cfg.cap_spectrum, cfg.seed)
     report = {
         **spectrum_report(p, spec), "kind": "verify", "status": "ok", **meta, "spot_check": spot
     }
+    # the rows need only their residues, not the spectrum's basis: it goes before the write
+    rows = None if args.ddt_out is None else ddt_blocks(spec)
+    del spec
     _emit(json.dumps(report, indent=2) + "\n", cfg.out)
-    if ddt_rows is not None:
-        _write_file(args.ddt_out, map(csv_block, ddt_rows))
+    if rows is not None:
+        _write_file(args.ddt_out, map(csv_block, rows))
     return EXIT_OK if report["verdicts"]["is_2k_to_one"] else EXIT_CHECK_FAILED
 
 

@@ -92,7 +92,8 @@ class _Cosets:
     form a coset of its kernel, or none.  Image i joins the elimination tagged by
     bit w + i, so a dependent image's residue tags a kernel element whose leading
     bit is its own index: kernel[i] (0 where there is none) is an echelon basis.
-    The target P(0, y) is reduced by each new pivot as it joins (one step: the new
+    The target P(0, y), evaluated with the first batch of images, is reduced by
+    each new pivot as it joins (one step: the new
     basis vector is 0 at every earlier pivot), so its tags come from independent
     images only and are 0 at every leading bit of the kernel basis: once its low
     part is 0 they are the coset's least element (:meth:`least`).  Below 2^fed
@@ -104,7 +105,7 @@ class _Cosets:
         if field.w > 31:  # the tags take bits w..2w-1 of an int64
             raise SizeLimitError(f"c search for w={field.w} exceeds 31")
         self.field, self.m, self.n, self.y, self.fed = field, m, n, y, 0
-        self.zero = eval_compat_poly(field.array_ops, m, n, 0, y)  # P(0, y)
+        self.zero = np.zeros(len(y), dtype=np.int64)  # P(0, y), from the first batch
         self.target = self.zero.copy()
         self.basis = np.zeros((field.w, len(y)), dtype=np.int64)
         self.kernel = np.zeros((field.w, len(y)), dtype=np.int32)
@@ -112,13 +113,18 @@ class _Cosets:
     def feed(self, k: int) -> None:
         """The images of X^fed..X^(k-1) join, over chunks of columns whose values fill
         about _CHUNK_VALUES."""
-        w, low = self.field.w, self.field.order
+        w, low, first = self.field.w, self.field.order, not self.fed
         index = np.arange(self.fed, k)
-        units, tags = np.left_shift(1, index)[:, None], np.left_shift(1, w + index)[:, None]
-        step = max(1, _CHUNK_VALUES // len(index))
+        c, tags = np.left_shift(1, index)[:, None], np.left_shift(1, w + index)[:, None]
+        if first:  # the target's c = 0 rides with the first batch
+            c = np.concatenate(([[0]], c))
+        step = max(1, _CHUNK_VALUES // len(c))
         for lo in range(0, len(self.y), step):
             part = slice(lo, lo + step)
-            images = eval_compat_poly(self.field.array_ops, self.m, self.n[part], units, self.y[part])
+            images = eval_compat_poly(self.field.array_ops, self.m, self.n[part], c, self.y[part])
+            if first:
+                self.zero[part] = self.target[part] = images[0]
+                images = images[1:]
             target = self.target[part]
             for i, r in zip(index, gf2_reduce(images ^ self.zero[part] | tags, self.basis[:, part])):
                 self.kernel[i, part] = np.where(r & low, 0, r >> w)
@@ -184,7 +190,7 @@ def _least_unmarked(cosets: _Cosets, count: int) -> list[int | None]:
     found: list[int | None] = [None] * count
     rows = np.arange(count)
     for k in range(w + 1):
-        if k > cosets.fed:
+        if k > cosets.fed or not cosets.fed:  # the first batch, with the target, before window 0
             cosets.feed(min(w, max(2, 2 * cosets.fed)))  # fed = 2, 4, 8, ..., always >= k
         least = cosets.least().reshape(len(rows), per_row)
         row, col = np.nonzero(least < 1 << k)

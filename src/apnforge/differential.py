@@ -25,7 +25,9 @@ a verdict; the test suite holds each route to its own oracle as well.
 A map is 2^k-to-one exactly when every kernel has size 2^k; APN is k = 1.
 Spectra are capped (w <= 16 by default and always in
 :func:`verify_instance`); the O(4^w) difference distribution table is
-capped tighter (default w <= 12) and made a block of rows at a time.
+capped tighter (default w <= 12) and written a block of rows at a time
+from the certified spectrum (:func:`ddt_blocks`).  The count by the
+definition lives in the test oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .hexanomial import BCParams, eval_hexanomial
 
 SPECTRUM_DEGREE_CAP = 16
 DDT_DEGREE_CAP = 12
-_DDT_BLOCK_CELLS = 1 << 16  # cells per streamed block of DDT rows: 16 rows at w = 12
+_DDT_BLOCK_CELLS = 1 << 15  # cells per streamed block of DDT rows: 8 rows at w = 12
 SPOT_CHECK_SAMPLES = 1000
 
 
@@ -51,9 +53,13 @@ class CrossCheckError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)  # eq would compare arrays, whose truth value is ambiguous
 class DerivativeSpectrum:
-    """kernels[a] = |ker| of the derivative at shift a (index 0 unused)."""
+    """kernels[a] = |ker| of the derivative at shift a (index 0 unused); basis[:, a], an
+    echelon basis of Im B(a, .) (row b has leading bit b, or is 0), and offsets[a] =
+    D_a(0) = F(a) + F(0) give the coset the DDT's row a is supported on."""
 
     kernels: np.ndarray
+    basis: np.ndarray
+    offsets: np.ndarray
 
     def histogram(self, a: int) -> dict[int, int]:
         """{fiber size: #b} for x -> F(x) + F(x + a), a in 1..2^w - 1."""
@@ -97,11 +103,12 @@ def check_degree(what: str, w: int, degree_cap: int) -> None:
         raise SizeLimitError(f"{what} for w={w} exceeds cap {degree_cap}")
 
 
-def _check_table(p: BCParams, images: np.ndarray) -> None:
-    """Raise CrossCheckError unless F's value table equals the scalar F at every x of
-    weight <= 2 and gives F(a + X^i) + F(a) + F(X^i) + F(0) = images[i, a] at every shift a
-    and basis index i.  The images are linear in a, so agreement makes every D_{X^i} of the
-    table affine: it is quadratic, with the linearized bilinear form."""
+def _check_table(p: BCParams, images: np.ndarray) -> np.ndarray:
+    """D_a(0) = F(a) + F(0) at every shift a, int32, read off F's value table once the
+    table has equalled the scalar F at every x of weight <= 2 and given
+    F(a + X^i) + F(a) + F(X^i) + F(0) = images[i, a] at every shift a and basis index i;
+    else CrossCheckError.  The images are linear in a, so agreement makes every D_{X^i}
+    of the table affine: it is quadratic, with the linearized bilinear form."""
     w = p.field.w
     ftab = value_table(p)
     for x in [0] + [1 << i | 1 << j for i in range(w) for j in range(i, w)]:
@@ -119,24 +126,27 @@ def _check_table(p: BCParams, images: np.ndarray) -> None:
                 f"shift a={a:#x}, basis X^{i}: value table {int(row[a]):#x}"
                 f" vs kernel route {int(image[a]):#x}"
             )
+    return base
 
 
 def derivative_spectrum(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP) -> DerivativeSpectrum:
-    """|ker| for every a != 0 from the kernel route's images B(a, X^i), once F's value
-    table has given the same image at every shift (:func:`_check_table`)."""
+    """The spectrum of every a != 0 from the kernel route's images B(a, X^i), once F's
+    value table has given the same image at every shift (:func:`_check_table`)."""
     check_degree("spectrum", p.field.w, degree_cap)
     images = bilinear_images(p)
-    _check_table(p, images)  # its table and gathered rows are freed before the elimination
-    return DerivativeSpectrum(_kernels_from_images(images[:, 1:], p.field.w))
+    offsets = _check_table(p, images)  # its table is freed before the elimination
+    return DerivativeSpectrum(*_eliminate(images), offsets)
 
 
-def _kernels_from_images(images, w: int) -> np.ndarray:
-    """2^(w - rank) at every shift 1..2^w - 1 from its w int32 basis images; index 0 unused."""
-    basis = np.zeros((w, (1 << w) - 1), dtype=np.int32)  # w <= 24 < 31: rows fit int32
+def _eliminate(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(2^(w - rank) at every shift, index 0 unused; the echelon basis of each shift's
+    span) from the w int32 (w, 2^w) images of every shift, in one elimination."""
+    basis = np.zeros_like(images)  # w <= 24 < 31: rows fit int32
     for _ in gf2_reduce(images, basis):
         pass
-    kernels = np.left_shift(1, w - np.count_nonzero(basis, axis=0))
-    return np.concatenate(([0], kernels))
+    kernels = np.left_shift(1, len(basis) - np.count_nonzero(basis, axis=0))
+    kernels[0] = 0
+    return kernels, basis
 
 
 def bilinear_images(p: BCParams) -> np.ndarray:
@@ -153,7 +163,7 @@ def bilinear_images(p: BCParams) -> np.ndarray:
 
 def kernel_sizes(p: BCParams) -> np.ndarray:
     """|ker D_a| = |ker B(a, .)| = 2^(w - rank) for every a (index 0 unused): the kernel route."""
-    return _kernels_from_images(bilinear_images(p)[:, 1:], p.field.w)
+    return _eliminate(bilinear_images(p))[0]
 
 
 def _coset_histogram(size: int, kernel: int) -> dict[int, int]:
@@ -228,28 +238,42 @@ def is_apn(p: BCParams) -> bool:
     return is_t_to_one(p, 2)
 
 
-def ddt_blocks(p: BCParams, degree_cap: int = DDT_DEGREE_CAP):
-    """DDT rows a ascending in int32 blocks of ~_DDT_BLOCK_CELLS cells; cap checked at the call."""
-    check_degree("ddt", p.field.w, degree_cap)
-    size, ftab = p.field.size, value_table(p)
-    xs, step = np.arange(size), max(1, _DDT_BLOCK_CELLS // size)
+def ddt_blocks(spec: DerivativeSpectrum):
+    """DDT rows a ascending in int32 blocks of ~_DDT_BLOCK_CELLS cells: row a is |ker| on
+    the coset D_a(0) + Im B(a, .), where L_a(b) = L_a(D_a(0)), and 0 elsewhere.  L_a, the
+    reduction by shift a's echelon basis, is F_2-linear with kernel Im B(a, .), so L_a(b)
+    is built from the w residues L_a(X^i) by one doubling per bit of b.  Row 0 is
+    [2^w, 0, ...]: its basis is empty and D_0(0) = 0."""
+    w, size = len(spec.basis), len(spec.kernels)
+    residues = np.empty((w + 1, size), dtype=np.min_scalar_type(size - 1))
+    for i, row in enumerate([1 << i for i in range(w)] + [spec.offsets]):  # X^i, D_a(0)
+        for b in reversed(range(w)):  # reduced top-down, one row at a time
+            row = row ^ (spec.basis[b] & -((row >> b) & 1))
+        residues[i] = row
+    counts = spec.kernels.astype(np.int32)
+    counts[0] = size
+    step = max(1, _DDT_BLOCK_CELLS // size)
+    # scratch shared by every block: with fresh buffers the allocator can hand their pages
+    # back and fault them in again block after block (about 53,000 faults at w = 12)
+    all_cells, all_on_coset = np.zeros((step, size), residues.dtype), np.empty((step, size), bool)
 
-    def block(lo: int) -> np.ndarray:  # one bincount of F(x + a) + F(x), offset by row
-        a = np.arange(lo, min(lo + step, size))[:, None]
-        cells = ftab[xs ^ a]
-        cells ^= ftab
-        cells += (a - lo) * size
-        return np.bincount(cells.ravel(), minlength=cells.size).astype(np.int32).reshape(-1, size)
+    def block(lo: int) -> np.ndarray:
+        hi = min(lo + step, size)
+        cells, on_coset = all_cells[: hi - lo], all_on_coset[: hi - lo]  # L_a(b); b = 0 gives 0
+        for i, residue in enumerate(residues[:w, lo:hi, None]):
+            np.bitwise_xor(cells[:, : 1 << i], residue, out=cells[:, 1 << i : 2 << i])
+        np.equal(cells, residues[w, lo:hi, None], out=on_coset)
+        return on_coset * counts[lo:hi, None]
 
     return map(block, range(0, size, step))
 
 
 def ddt(p: BCParams, degree_cap: int = DDT_DEGREE_CAP) -> np.ndarray:
     """Full difference distribution table, int32; row a=0 is the conventional [2^w, 0, ...]."""
-    blocks = ddt_blocks(p, degree_cap)  # refuses w over the cap before the table exists
+    check_degree("ddt", p.field.w, degree_cap)  # before the table exists
     table = np.empty((p.field.size, p.field.size), dtype=np.int32)
     lo = 0
-    for block in blocks:
+    for block in ddt_blocks(derivative_spectrum(p)):
         table[lo : lo + len(block)] = block
         lo += len(block)
     return table
@@ -257,12 +281,13 @@ def ddt(p: BCParams, degree_cap: int = DDT_DEGREE_CAP) -> np.ndarray:
 
 def csv_block(rows: np.ndarray) -> bytes:
     """CSV lines of a block of rows: each count's glyph ("v," or "v\\n" in the last column),
-    NUL-padded to the block's widest value, gathered at once and stripped of its NULs."""
+    NUL-padded to the block's widest value, gathered at once and stripped of its NULs
+    (there are none when every count is below 10)."""
     top = int(rows.max())
     glyphs = np.char.add(np.arange(top + 1).astype(f"S{len(str(top))}"), [[b","], [b"\n"]])
     cells = glyphs[0].take(rows)  # take, not [], gathers fixed-width bytes several times faster
     cells[:, -1] = glyphs[1].take(rows[:, -1])
-    return cells.tobytes().translate(None, b"\0")
+    return cells.tobytes() if top < 10 else cells.tobytes().translate(None, b"\0")
 
 
 def ddt_to_csv(table: np.ndarray) -> str:

@@ -218,11 +218,12 @@ class _ArrayOps:
 
     def __init__(self, w: int, modulus: int):
         self._w, self._modulus = w, modulus
-        # _frob[j, t] = (X^j)^(2^t), each column the square of the one before.
-        images = [[1 << j for j in range(w)]]
+        # _frob[j, t] = _frob_lists[t][j] = (X^j)^(2^t), each column the square of the one
+        # before; the Python ints serve int operands, where numpy scalars cost ~3x the time.
+        self._frob_lists = [[1 << j for j in range(w)]]
         for _ in range(w - 1):
-            images.append([_square_mod(v, modulus) for v in images[-1]])
-        self._frob = np.array(images, dtype=np.int64).T
+            self._frob_lists.append([_square_mod(v, modulus) for v in self._frob_lists[-1]])
+        self._frob = np.array(self._frob_lists, dtype=np.int64).T
 
     def mul(self, x, y):
         """Branchless shift-and-reduce: w steps, whatever the operands' shapes."""
@@ -240,7 +241,8 @@ class _ArrayOps:
         t is an int or an int64 array that broadcasts against x, one
         exponent per element: the images are gathered at t mod w.
         """
-        images = self._frob[:, t % self._w]
+        ints = isinstance(x, int) and isinstance(t, int)
+        images = self._frob_lists[t % self._w] if ints else self._frob[:, t % self._w]
         out = (x ^ images[0]) & 0
         for j, image in enumerate(images):
             out ^= image & -((x >> j) & 1)

@@ -29,6 +29,9 @@ bincounts F(x) + F(x + a) over every x for every shift, O(4^w), and
 assumes nothing about the degree of F.  :func:`anf_degree` is the
 degree certificate the library's image-by-image route comparison
 replaced: a binary Moebius transform of a value table.
+:func:`ddt_by_definition` is the DDT count the library's coset rows
+replaced: it gathers F(x + a) + F(x) for every cell of a block of rows
+and bincounts them, again assuming nothing about the degree of F.
 """
 
 import functools
@@ -311,3 +314,13 @@ def anf_degree(table):
         halves = anf.reshape(-1, 2, 1 << i)
         halves[:, 1] ^= halves[:, 0]
     return max((u.bit_count() for u in np.flatnonzero(anf).tolist()), default=-1)
+
+
+def ddt_by_definition(p, lo, hi):
+    """DDT rows lo..hi-1, delta(a, b) = #{x : F(x + a) + F(x) = b}, int32: one gather of
+    F(x + a) per cell and one bincount over the block, offset by row."""
+    size, ftab = p.field.size, _ftab(p)
+    a = np.arange(lo, hi)[:, None]
+    cells = ftab[np.arange(size) ^ a] ^ ftab
+    cells += (a - lo) * size
+    return np.bincount(cells.ravel(), minlength=cells.size).astype(np.int32).reshape(-1, size)

@@ -195,6 +195,58 @@ def test_verify_ddt_export(tmp_path, capsys, monkeypatch):
             assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest), block_rows
 
 
+def test_verify_ddt_export_at_w12(tmp_path, capsys, monkeypatch):
+    """The benchmark's w = 12 file, also with blocks of 5 rows, whose edges fall mid-table."""
+    ddt_path = tmp_path / "ddt.csv"
+    for block_rows in (None, 5):
+        if block_rows is not None:
+            monkeypatch.setattr(differential, "_DDT_BLOCK_CELLS", block_rows << 12)
+        code, _, _ = run(capsys, "verify", "--m", "6", "--n", "1", "--ddt-out", str(ddt_path))
+        assert code == EXIT_OK
+        data = ddt_path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            33554435, "e282b6c339ecad215e0968b89c4936a90ba684601f7dfd7b9e39eafecb0688a5"
+        ), block_rows
+
+
+def test_verify_ddt_export_builds_one_table_and_runs_one_elimination(
+    tmp_path, capsys, monkeypatch
+):
+    """The DDT is written from the spectrum verify certified, not counted again from a
+    second value table."""
+    calls = {"value_table": 0, "gf2_reduce": 0}
+    for name in calls:
+        orig = getattr(differential, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(differential, name, counted)
+    code, _, _ = run(capsys, "verify", "--m", "3", "--n", "2", "--ddt-out",
+                     str(tmp_path / "ddt.csv"))
+    assert code == EXIT_OK
+    assert calls == {"value_table": 1, "gf2_reduce": 1}
+
+
+def test_verify_ddt_export_refuses_uncertified_images(tmp_path, capsys, monkeypatch):
+    """Images the value table contradicts raise before any DDT byte is written."""
+    orig = differential.bilinear_images
+
+    def swapped(p):
+        images = orig(p)
+        images[[0, 1], 4] = images[[1, 0], 4]
+        return images
+
+    monkeypatch.setattr(differential, "bilinear_images", swapped)
+    code, out, err = run(capsys, "verify", "--m", "2", "--n", "1", "--ddt-out",
+                         str(tmp_path / "ddt.csv"))
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err.startswith("cross-check failure: shift a=0x4, basis X^0: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ddt_export_holds_blocks_not_the_table(tmp_path, capsys):
     """At w = 10 the whole int32 table alone would take 4 MiB; the stream stays below it."""
     tracemalloc.start()
@@ -480,8 +532,8 @@ def test_ddt_stream_failing_after_its_first_block_leaves_no_file(
     target = tmp_path / "ddt.csv"
     tmp = tmp_path / f".ddt.csv.{os.getpid()}.tmp"
 
-    def first_block_then_fail(p, degree_cap):
-        yield next(differential.ddt_blocks(p, degree_cap))
+    def first_block_then_fail(spec):
+        yield next(differential.ddt_blocks(spec))
         assert tmp.exists()  # the stream is being written, not collected first
         raise exc
 

@@ -307,18 +307,21 @@ def test_prefix_cosets_are_the_full_sets_cut_below_the_prefix():
 
 def test_found_row_evaluates_only_the_images_its_window_reads(monkeypatch):
     """(12, 1) finds c = 9 in window 4, which reads the images of X^0..X^3: the search
-    evaluates P at those and at the target's c = 0, not at all w + 1 = 25 values."""
+    evaluates P at those and at the target's c = 0, not at all w + 1 = 25 values, in two
+    array calls (the target rides with the first batch, X^0 and X^1; then X^2 and X^3)."""
     make_field(24)
-    evaluated = set()
+    evaluated, calls = set(), []
 
     def spy(f, m, n, c, y):
         evaluated.update(np.ravel(c).tolist())
+        calls.append(np.ravel(c).tolist())
         return eval_compat_poly(f, m, n, c, y)
 
     monkeypatch.setattr(compatibility, "eval_compat_poly", spy)
     assert find_compatible_c(12, 1) == 9
     assert 0 in evaluated
     assert evaluated <= {0} | {1 << i for i in range((9).bit_length())}, sorted(evaluated)
+    assert calls == [[0, 1, 2], [4, 8]]
 
 
 def test_search_exhausts_odd_ratio_rows_beyond_the_oracle():

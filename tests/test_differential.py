@@ -1,5 +1,6 @@
 """Spectrum/DDT verification, including the two-route cross-check."""
 
+import dataclasses
 import json
 import random
 
@@ -281,7 +282,7 @@ def test_cross_check_raises_on_tampered_histogram():
     bad = derivative_spectrum(APN_21).kernels.copy()
     bad[3] = 4
     with pytest.raises(CrossCheckError, match="shift a=0x3"):
-        cross_check_spectrum(APN_21, DerivativeSpectrum(bad))
+        cross_check_spectrum(APN_21, dataclasses.replace(derivative_spectrum(APN_21), kernels=bad))
 
 
 def test_definition_route_refuses_a_non_quadratic_table(monkeypatch):
@@ -334,7 +335,7 @@ def test_a_rank_preserving_image_swap_is_refused(monkeypatch):
         images[[0, 1], 4] = images[[1, 0], 4]
         return images
 
-    ranks = differential._kernels_from_images(swapped(APN_21)[:, 1:], APN_21.field.w)
+    ranks = differential._eliminate(swapped(APN_21))[0]
     assert (ranks == kernel_sizes(APN_21)).all()
     monkeypatch.setattr(differential, "bilinear_images", swapped)
     with pytest.raises(CrossCheckError, match="shift a=0x4, basis X\\^0: "):
@@ -343,7 +344,7 @@ def test_a_rank_preserving_image_swap_is_refused(monkeypatch):
 
 def test_verify_instance_ranks_once(monkeypatch):
     """One elimination per verify, and no second route ranked for comparison."""
-    calls = {"_kernels_from_images": 0, "cross_check_spectrum": 0}
+    calls = {"gf2_reduce": 0, "cross_check_spectrum": 0}
     for name in calls:
         orig = getattr(differential, name)
 
@@ -353,7 +354,7 @@ def test_verify_instance_ranks_once(monkeypatch):
 
         monkeypatch.setattr(differential, name, counted)
     differential.verify_instance(params(3, 2, 3))
-    assert calls == {"_kernels_from_images": 1, "cross_check_spectrum": 0}
+    assert calls == {"gf2_reduce": 1, "cross_check_spectrum": 0}
 
 
 def test_is_apn_runs_the_spot_check(monkeypatch):
@@ -459,7 +460,7 @@ def test_ddt_blocks_match_the_definition(monkeypatch, block_rows):
             expected[a, f[x ^ a] ^ f[x]] += 1
     if block_rows is not None:
         monkeypatch.setattr(differential, "_DDT_BLOCK_CELLS", block_rows * size)
-    blocks = list(differential.ddt_blocks(p))
+    blocks = list(differential.ddt_blocks(derivative_spectrum(p)))
     assert all(b.dtype == np.int32 for b in blocks)
     if block_rows is not None:
         assert [len(b) for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
@@ -469,6 +470,30 @@ def test_ddt_blocks_match_the_definition(monkeypatch, block_rows):
     lines = "".join(",".join(map(str, row)) + "\n" for row in expected.tolist())
     assert ddt_to_csv(expected) == lines
     assert b"".join(map(differential.csv_block, blocks)) == lines.encode()
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+@pytest.mark.parametrize("m, n, c", [
+    (3, 2, 5),  # counts of several widths
+    (6, 2, 5),  # kernel sizes 4 and 64 mixed
+    (4, 2, None),  # gcd 2: every kernel of size 4
+    (3, 3, 0),  # n/m odd: no compatible c, 8-to-one
+    (6, 1, None),  # the benchmark's w = 12 instance
+])
+def test_ddt_stream_matches_the_count_by_definition(monkeypatch, block_rows, m, n, c):
+    """Each streamed block equals the oracle's per-cell count over F's table, also with
+    blocks of 1 and 3 rows whose edges fall mid-table."""
+    p = params(m, n, find_compatible_c(m, n) if c is None else c)
+    size = p.field.size
+    if block_rows is not None:
+        monkeypatch.setattr(differential, "_DDT_BLOCK_CELLS", block_rows * size)
+    lo = 0
+    for block in differential.ddt_blocks(derivative_spectrum(p)):
+        assert block.dtype == np.int32
+        assert block_rows is None or len(block) == min(block_rows, size - lo)
+        assert (block == oracle.ddt_by_definition(p, lo, lo + len(block))).all(), lo
+        lo += len(block)
+    assert lo == size
 
 
 def test_ddt_csv_roundtrip():
