@@ -43,8 +43,7 @@ from .differential import (
     SPOT_CHECK_SAMPLES,  # re-exported: the traced benchmark replay reads it from here
     CrossCheckError,
     check_degree,
-    csv_block,
-    ddt_blocks,
+    ddt_csv_blocks,
     spectrum_report,
     verify_instance,
 )
@@ -193,11 +192,11 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         **spectrum_report(p, spec), "kind": "verify", "status": "ok", **meta, "spot_check": spot
     }
     # the rows need only their residues, not the spectrum's basis: it goes before the write
-    rows = None if args.ddt_out is None else ddt_blocks(spec)
+    rows = None if args.ddt_out is None else ddt_csv_blocks(spec)
     del spec
     _emit(json.dumps(report, indent=2) + "\n", cfg.out)
     if rows is not None:
-        _write_file(args.ddt_out, map(csv_block, rows))
+        _write_file(args.ddt_out, rows)
     return EXIT_OK if report["verdicts"]["is_2k_to_one"] else EXIT_CHECK_FAILED
 
 

@@ -26,8 +26,10 @@ A map is 2^k-to-one exactly when every kernel has size 2^k; APN is k = 1.
 Spectra are capped (w <= 16 by default and always in
 :func:`verify_instance`); the O(4^w) difference distribution table is
 capped tighter (default w <= 12) and written a block of rows at a time
-from the certified spectrum (:func:`ddt_blocks`).  The count by the
-definition lives in the test oracle.
+from the certified spectrum: row a is one coset of Im B(a, .), a 0/1 mask
+per block (:func:`_coset_masks`), which :func:`ddt_blocks` turns into int32
+counts and :func:`ddt_csv_blocks` straight into the CSV bytes.  The count
+by the definition lives in the test oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .hexanomial import BCParams, eval_hexanomial
 
 SPECTRUM_DEGREE_CAP = 16
 DDT_DEGREE_CAP = 12
-_DDT_BLOCK_CELLS = 1 << 15  # cells per streamed block of DDT rows: 8 rows at w = 12
+_DDT_BLOCK_CELLS = 1 << 16  # cells per streamed block of DDT rows: 16 rows at w = 12
 SPOT_CHECK_SAMPLES = 1000
 
 
@@ -238,34 +240,73 @@ def is_apn(p: BCParams) -> bool:
     return is_t_to_one(p, 2)
 
 
-def ddt_blocks(spec: DerivativeSpectrum):
-    """DDT rows a ascending in int32 blocks of ~_DDT_BLOCK_CELLS cells: row a is |ker| on
-    the coset D_a(0) + Im B(a, .), where L_a(b) = L_a(D_a(0)), and 0 elsewhere.  L_a, the
-    reduction by shift a's echelon basis, is F_2-linear with kernel Im B(a, .), so L_a(b)
-    is built from the w residues L_a(X^i) by one doubling per bit of b.  Row 0 is
-    [2^w, 0, ...]: its basis is empty and D_0(0) = 0."""
+def _coset_masks(spec: DerivativeSpectrum):
+    """(lo, on_coset) for DDT rows a ascending in blocks of ~_DDT_BLOCK_CELLS cells:
+    on_coset[a - lo, b] says b is in the coset D_a(0) + Im B(a, .), the support of row a.
+    L_a, the reduction by shift a's echelon basis, is F_2-linear with kernel Im B(a, .), so
+    L_a(b + D_a(0)) is built from L_a(D_a(0)) and the w residues L_a(X^i) by one doubling
+    per bit of b, and b is on the coset where it is 0.  Row 0's basis is empty and
+    D_0(0) = 0: its mask is b == 0.  The residues are taken now, so the spectrum may go;
+    the mask is scratch shared by every block, valid only until the next is requested."""
     w, size = len(spec.basis), len(spec.kernels)
     residues = np.empty((w + 1, size), dtype=np.min_scalar_type(size - 1))
-    for i, row in enumerate([1 << i for i in range(w)] + [spec.offsets]):  # X^i, D_a(0)
+    for i, row in enumerate([spec.offsets] + [1 << i for i in range(w)]):  # D_a(0), X^i
         for b in reversed(range(w)):  # reduced top-down, one row at a time
             row = row ^ (spec.basis[b] & -((row >> b) & 1))
         residues[i] = row
-    counts = spec.kernels.astype(np.int32)
-    counts[0] = size
     step = max(1, _DDT_BLOCK_CELLS // size)
     # scratch shared by every block: with fresh buffers the allocator can hand their pages
     # back and fault them in again block after block (about 53,000 faults at w = 12)
-    all_cells, all_on_coset = np.zeros((step, size), residues.dtype), np.empty((step, size), bool)
+    all_cells, all_on_coset = np.empty((step, size), residues.dtype), np.empty((step, size), bool)
 
-    def block(lo: int) -> np.ndarray:
-        hi = min(lo + step, size)
-        cells, on_coset = all_cells[: hi - lo], all_on_coset[: hi - lo]  # L_a(b); b = 0 gives 0
-        for i, residue in enumerate(residues[:w, lo:hi, None]):
-            np.bitwise_xor(cells[:, : 1 << i], residue, out=cells[:, 1 << i : 2 << i])
-        np.equal(cells, residues[w, lo:hi, None], out=on_coset)
-        return on_coset * counts[lo:hi, None]
+    def masks():
+        for lo in range(0, size, step):
+            hi = min(lo + step, size)
+            cells, on_coset = all_cells[: hi - lo], all_on_coset[: hi - lo]
+            cells[:, 0] = residues[0, lo:hi]
+            for i, residue in enumerate(residues[1:, lo:hi, None]):
+                np.bitwise_xor(cells[:, : 1 << i], residue, out=cells[:, 1 << i : 2 << i])
+            yield lo, np.equal(cells, 0, out=on_coset)
 
-    return map(block, range(0, size, step))
+    return masks()
+
+
+def ddt_blocks(spec: DerivativeSpectrum):
+    """DDT rows a ascending in int32 blocks of ~_DDT_BLOCK_CELLS cells: row a is |ker| on
+    the coset D_a(0) + Im B(a, .) and 0 elsewhere (:func:`_coset_masks`); row 0 is 2^w."""
+    counts = spec.kernels.astype(np.int32)
+    counts[0] = len(counts)
+    return (mask * counts[lo : lo + len(mask), None] for lo, mask in _coset_masks(spec))
+
+
+def ddt_csv_blocks(spec: DerivativeSpectrum):
+    """The bytes of :func:`ddt_to_csv` for the DDT of spec, a block of rows at a time, each
+    valid only until the next is requested.  Row 0 is its literal line "2^w,0,...,0".  A
+    block whose counts are all below 10 (every 2-, 4- and 8-to-one row) is written from
+    its mask in one pass: each cell is a little-endian '<u2' glyph, the digit and a comma,
+    and the last column's comma is a newline.  Other blocks take :func:`csv_block`."""
+    kernels, masks = spec.kernels, _coset_masks(spec)
+    size = len(kernels)
+    all_glyphs = np.empty((max(1, _DDT_BLOCK_CELLS // size), size), "<u2")
+
+    def blocks():
+        yield b"%d" % size + b",0" * (size - 1) + b"\n"
+        for lo, mask in masks:
+            rows = kernels[lo : lo + len(mask), None]
+            if lo == 0:  # row 0 went out as its literal line
+                rows, mask = rows[1:], mask[1:]
+            if not len(rows):
+                continue
+            if rows.max() >= 10:
+                yield csv_block(mask * rows)
+                continue
+            glyphs = np.multiply(mask, rows.astype("<u2"), out=all_glyphs[: len(rows)])
+            glyphs |= ord("0") | ord(",") << 8
+            text = glyphs.view(np.uint8)
+            text[:, -1] = ord("\n")  # the high byte of the last cell: its comma
+            yield text.reshape(-1).data
+
+    return blocks()
 
 
 def ddt(p: BCParams, degree_cap: int = DDT_DEGREE_CAP) -> np.ndarray:

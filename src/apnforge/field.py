@@ -177,7 +177,7 @@ class Field:
         while e:
             if e & 1:
                 r = self.mul(r, x)
-            x = self.mul(x, x)
+            x = _square_mod(x, self.modulus)
             e >>= 1
         return r
 

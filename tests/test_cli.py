@@ -533,11 +533,11 @@ def test_ddt_stream_failing_after_its_first_block_leaves_no_file(
     tmp = tmp_path / f".ddt.csv.{os.getpid()}.tmp"
 
     def first_block_then_fail(spec):
-        yield next(differential.ddt_blocks(spec))
+        yield next(differential.ddt_csv_blocks(spec))
         assert tmp.exists()  # the stream is being written, not collected first
         raise exc
 
-    monkeypatch.setattr(cli, "ddt_blocks", first_block_then_fail)
+    monkeypatch.setattr(cli, "ddt_csv_blocks", first_block_then_fail)
     code, _, err = run(capsys, "verify", "--m", "3", "--n", "1", "--ddt-out", str(target))
     assert code == exit_code
     assert str(exc) in err

@@ -472,14 +472,17 @@ def test_ddt_blocks_match_the_definition(monkeypatch, block_rows):
     assert b"".join(map(differential.csv_block, blocks)) == lines.encode()
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, None])
-@pytest.mark.parametrize("m, n, c", [
+DDT_GRID = [
     (3, 2, 5),  # counts of several widths
     (6, 2, 5),  # kernel sizes 4 and 64 mixed
     (4, 2, None),  # gcd 2: every kernel of size 4
     (3, 3, 0),  # n/m odd: no compatible c, 8-to-one
     (6, 1, None),  # the benchmark's w = 12 instance
-])
+]
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+@pytest.mark.parametrize("m, n, c", DDT_GRID)
 def test_ddt_stream_matches_the_count_by_definition(monkeypatch, block_rows, m, n, c):
     """Each streamed block equals the oracle's per-cell count over F's table, also with
     blocks of 1 and 3 rows whose edges fall mid-table."""
@@ -494,6 +497,25 @@ def test_ddt_stream_matches_the_count_by_definition(monkeypatch, block_rows, m, 
         assert (block == oracle.ddt_by_definition(p, lo, lo + len(block))).all(), lo
         lo += len(block)
     assert lo == size
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+@pytest.mark.parametrize("m, n, c", DDT_GRID + [(1, 1, 0)])  # w = 2: the smallest field
+def test_ddt_csv_stream_matches_the_csv_of_the_count_by_definition(
+    monkeypatch, block_rows, m, n, c
+):
+    """The bytes --ddt-out writes are the CSV of the oracle's whole table: on the digit
+    glyph path for kernels of 2, 4 and 8, and on csv_block's for (6, 2)'s kernels of 64.
+    A block of row 0 alone yields its line and nothing more."""
+    p = params(m, n, find_compatible_c(m, n) if c is None else c)
+    size = p.field.size
+    if block_rows is not None:
+        monkeypatch.setattr(differential, "_DDT_BLOCK_CELLS", block_rows * size)
+    chunks = [bytes(b) for b in differential.ddt_csv_blocks(derivative_spectrum(p))]
+    assert b"".join(chunks) == ddt_to_csv(oracle.ddt_by_definition(p, 0, size)).encode()
+    assert chunks[0] == b"%d" % size + b",0" * (size - 1) + b"\n"
+    if block_rows == 1:
+        assert len(chunks) == size  # one line per block, none empty
 
 
 def test_ddt_csv_roundtrip():
