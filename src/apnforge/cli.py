@@ -20,6 +20,7 @@ degrees.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -249,7 +250,10 @@ def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     sp.add_argument("--out", help="write the report here instead of stdout")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then shared by every :func:`main` call
+    of the process (each parse returns a fresh namespace); callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="apnforge",
         description="Budaghyan-Carlet hexanomials: compatibility search and derivative verification",

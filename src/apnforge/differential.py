@@ -94,9 +94,9 @@ class DerivativeSpectrum:
 
 
 def value_table(p: BCParams) -> np.ndarray:
-    """F at every element, canonical order: one evaluation of F's formula on array ops."""
+    """F at every element, canonical order, int32: one evaluation of F's formula on array ops."""
     f = p.field
-    return hexanomial.hexanomial_form(f.array_ops, p, np.arange(f.size, dtype=np.int64))
+    return hexanomial.hexanomial_form(f.array_ops, p, np.arange(f.size, dtype=np.int32))
 
 
 def check_degree(what: str, w: int, degree_cap: int) -> None:
@@ -110,13 +110,15 @@ def _check_table(p: BCParams, images: np.ndarray) -> np.ndarray:
     table has equalled the scalar F at every x of weight <= 2 and given
     F(a + X^i) + F(a) + F(X^i) + F(0) = images[i, a] at every shift a and basis index i;
     else CrossCheckError.  The images are linear in a, so agreement makes every D_{X^i}
-    of the table affine: it is quadratic, with the linearized bilinear form."""
+    of the table affine: it is quadratic, with the linearized bilinear form.  A quadratic
+    map is fixed by its values at weight <= 2, so the table is the scalar F everywhere;
+    the scalar Field multiplies by shift-and-reduce, the table's array view by gathers,
+    so the loop holds one arithmetic to the other."""
     w = p.field.w
     ftab = value_table(p)
     for x in [0] + [1 << i | 1 << j for i in range(w) for j in range(i, w)]:
         if int(ftab[x]) != eval_hexanomial(p, x):
             raise CrossCheckError(f"value table disagrees with F at x={x:#x}")
-    ftab = ftab.astype(np.int32)
     base = ftab ^ ftab[0]
     for i, image in enumerate(images):
         # F(a + X^i) at every a: swap the halves of each block of 2^(i+1) shifts
@@ -158,7 +160,7 @@ def bilinear_images(p: BCParams) -> np.ndarray:
     xj, xi = 1 << np.indices((w, w), dtype=np.int64)  # X^j down the rows, X^i across
     tensor = hexanomial.collapsed_form(ops, p, hexanomial.bilinear_coeffs(ops, p, xj), xi)
     images = np.zeros((w, 1 << w), dtype=np.int32)
-    for j, row in enumerate(tensor.astype(np.int32)):  # row j: B(X^j, X^i) for each i
+    for j, row in enumerate(tensor):  # row j: B(X^j, X^i) for each i, int32
         np.bitwise_xor(images[:, : 1 << j], row[:, None], out=images[:, 1 << j : 2 << j])
     return images
 

@@ -14,24 +14,28 @@ derived constant in reports reproducible; any other irreducible of the
 right degree can be supplied explicitly and is carried in serialized
 output.
 
-This module is the one home of F_{2^w} arithmetic, and it has one
-arithmetic for every degree (up to the cap of :func:`make_field`, 24):
-a branchless shift-and-reduce multiply, and every Frobenius map as one
-F_2-linear map on basis images (X^j)^(2^t), one (w, w) table built once
-per field and gathered at t mod w, so one call can apply a different t
-to each element of an array.
-``Field.array_ops`` runs that code unchecked and elementwise on int64
-arrays; scalar ``Field.mul``/``frobenius`` are range checks around the
-same code, which is written in operators only, so it serves ints and
-arrays alike; :func:`roots_of_unity` builds its powers on the array
-view.  :func:`gf2_reduce` is the one F_2 elimination, shared by the c
-search and both rank routes.  Field objects are immutable after
-construction and safe to share.
+This module is the one home of F_{2^w} arithmetic (up to the cap of
+:func:`make_field`, 24), and it has two arithmetics that are held to
+each other.  The scalar :class:`Field` works on Python ints by
+shift-and-reduce, and applies a Frobenius power x -> x^(2^t) as the XOR
+of the images (X^j)^(2^t) over the bits of x.  Its array view
+``Field.array_ops`` works unchecked and elementwise on int arrays, with
+int32 results, by gathers from tables of 256 entries per operand byte:
+every Frobenius power and every multiplication by a fixed element is an
+F_2-linear map compiled into such tables once, and a general product
+XORs byte-pair carryless products from one table shared by all fields,
+then reduces its high bits by one more linear map.
+:func:`roots_of_unity` takes its powers in one array multiply.
+:func:`gf2_reduce` is the one F_2 elimination, shared by the c search
+and both rank routes.  Field objects are immutable after construction
+and safe to share.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 
 import numpy as np
 
@@ -137,8 +141,18 @@ class Field:
         self.modulus = modulus
         self.size = 1 << w
         self.order = self.size - 1
-        self.array_ops = _ArrayOps(w, modulus)
+        # _frob[t][j] = (X^j)^(2^t), each list the squares of the one before
+        self._frob = [[1 << j for j in range(w)]]
+        for _ in range(w - 1):
+            self._frob.append([_square_mod(v, modulus) for v in self._frob[-1]])
         self.generator = self._find_generator()
+
+    @functools.cached_property
+    def array_ops(self) -> _ArrayOps:
+        """The unchecked array view, built on first use; its int32 results hold w <= 31."""
+        if self.w > 31:
+            raise SizeLimitError(f"array arithmetic for w={self.w} exceeds 31")
+        return _ArrayOps(self.w, self.modulus, self._frob)
 
     # -- construction helpers ------------------------------------------------
 
@@ -158,7 +172,21 @@ class Field:
         return x
 
     def mul(self, x: int, y: int) -> int:
-        return self.array_ops.mul(self.check(x), self.check(y))
+        """x y by shift-and-reduce, one step per bit of y."""
+        self.check(x)
+        acc = 0
+        for _ in range(self.check(y).bit_length()):
+            if y & 1:
+                acc ^= x
+            y >>= 1
+            x <<= 1
+            if x >> self.w:
+                x ^= self.modulus
+        return acc
+
+    def times(self, k: int):
+        """x -> k x, the form generic field code uses for a fixed factor."""
+        return functools.partial(self.mul, k)
 
     def inv(self, x: int) -> int:
         if self.check(x) == 0:
@@ -182,8 +210,14 @@ class Field:
         return r
 
     def frobenius(self, x: int, t: int = 1) -> int:
-        """t-fold Frobenius x -> x^(2^t); t may be any nonnegative int."""
-        return int(self.array_ops.frobenius(self.check(x), t))
+        """t-fold Frobenius x -> x^(2^t), for any int t: the XOR of the images
+        (X^j)^(2^t) over the set bits j of x."""
+        self.check(x)
+        out = 0
+        for j, image in enumerate(self._frob[t % self.w]):
+            if x >> j & 1:
+                out ^= image
+        return out
 
     def in_subfield(self, x: int, d: int) -> bool:
         """Membership in the subfield F_{2^d}; d must divide w."""
@@ -210,43 +244,91 @@ class Field:
 
 
 class _ArrayOps:
-    """A field's arithmetic, unchecked and elementwise, on int64 arrays or ints.
+    """A field's arithmetic, unchecked and elementwise, on int32 or int64 arrays (a Python
+    int is a 0-d operand), with int32 results, read from tables of 256 entries, one per
+    byte of an operand.
 
-    The same operator sequence serves both, so a scalar result is one
-    element of the array result; no step branches on an operand.
+    Each F_2-linear map -- every Frobenius power, multiplication by a fixed k
+    (:meth:`times`), the reduction of a product's high bits -- is compiled from its
+    basis images into byte tables (:func:`_byte_tables`) and applied as one gather per
+    byte (:func:`_linear`).  :meth:`mul` XORs byte-pair carryless products from one
+    table shared by every field.  The scalar :class:`Field` keeps shift-and-reduce, so
+    the two are different arithmetics, and each is held to the other.
     """
 
-    def __init__(self, w: int, modulus: int):
+    def __init__(self, w: int, modulus: int, frob_images: list[list[int]]):
         self._w, self._modulus = w, modulus
-        # _frob[j, t] = _frob_lists[t][j] = (X^j)^(2^t), each column the square of the one
-        # before; the Python ints serve int operands, where numpy scalars cost ~3x the time.
-        self._frob_lists = [[1 << j for j in range(w)]]
-        for _ in range(w - 1):
-            self._frob_lists.append([_square_mod(v, modulus) for v in self._frob_lists[-1]])
-        self._frob = np.array(self._frob_lists, dtype=np.int64).T
+        self._frob = _byte_tables(frob_images)  # (w, bytes, 256)
+        # a product's bits w..2w-2 stand for X^(w+j) mod the modulus (at w = 1 there are
+        # none, and the one image is never gathered at a nonzero byte)
+        self._reduce = _byte_tables([[_poly_rem(1 << w + j, modulus) for j in range(max(1, w - 1))]])
+        self.times = functools.lru_cache(maxsize=16)(self._times)
+
+    def _times(self, k):
+        """x -> k x for a fixed k (cached by :meth:`times`): the byte tables of the k X^j."""
+        tables = _byte_tables([[_poly_rem(int(k) << j, self._modulus) for j in range(self._w)]])
+        return functools.partial(_linear, tables)
 
     def mul(self, x, y):
-        """Branchless shift-and-reduce: w steps, whatever the operands' shapes."""
-        w, modulus = self._w, self._modulus
-        acc = (x ^ y) & 0
-        for i in range(w):
-            acc ^= x & -((y >> i) & 1)
-            x = x << 1
-            x ^= modulus & -(x >> w)
-        return acc
+        """x y, for operands that broadcast against each other: the XOR of the carryless
+        products of every byte pair, each gathered at a uint16 index from
+        :func:`_clmul_table` and shifted into place, then the product's bits w..2w-2
+        reduced by one more linear map."""
+        xb, yb, table, nb = _bytes(x), _bytes(y), _clmul_table(), self._frob.shape[1]
+        product = 0
+        for i in range(nb):
+            high = np.left_shift(xb[..., i], 8, dtype=np.uint16)
+            for j in range(nb):
+                product ^= np.left_shift(table.take(high | yb[..., j]), 8 * (i + j), dtype=np.int64)
+        out = _linear(self._reduce, product >> self._w)
+        out ^= product & ((1 << self._w) - 1)  # below 2^w: exact in int32
+        return out
 
     def frobenius(self, x, t=1):
-        """x^(2^t): the XOR of the images (X^j)^(2^t) over the set bits j of x.
+        """x^(2^t), from the byte tables of t mod w; t is an int or an int64 array that
+        broadcasts against x, one exponent per element."""
+        return _linear(self._frob, x, t % self._w)
 
-        t is an int or an int64 array that broadcasts against x, one
-        exponent per element: the images are gathered at t mod w.
-        """
-        ints = isinstance(x, int) and isinstance(t, int)
-        images = self._frob_lists[t % self._w] if ints else self._frob[:, t % self._w]
-        out = (x ^ images[0]) & 0
-        for j, image in enumerate(images):
-            out ^= image & -((x >> j) & 1)
-        return out
+
+def _byte_tables(maps: list[list[int]], dtype=np.int32) -> np.ndarray:
+    """(maps, ceil(n/8), 256) byte tables of F_2-linear maps, each given by its n basis
+    images: tables[i, b, v] is the XOR of maps[i][8b + k] over the set bits k of v, built
+    in place by one doubling per bit."""
+    images = np.array([m + [0] * (-len(m) % 8) for m in maps], dtype=dtype).reshape(len(maps), -1, 8)
+    tables = np.zeros((*images.shape[:2], 256), dtype=dtype)
+    for k in range(8):
+        np.bitwise_xor(tables[..., : 1 << k], images[..., k, None], out=tables[..., 1 << k : 2 << k])
+    return tables
+
+
+@functools.cache
+def _clmul_table() -> np.ndarray:
+    """table[u << 8 | v] = the carryless product of bytes u and v (15 bits), uint16, 128 KiB:
+    the byte table of v -> u v for each u, one for every field, built on first use."""
+    table = _byte_tables([[u << k for k in range(8)] for u in range(256)], np.uint16).ravel()
+    table.setflags(write=False)
+    return table
+
+
+def _bytes(x) -> np.ndarray:
+    """x viewed as (..., 4 or 8) little-endian uint8 bytes: copied, as int64, only when x
+    is not already a C-contiguous little-endian int32 or int64 array."""
+    x = np.asarray(x)
+    if x.dtype.str not in ("<i4", "<i8") or not x.flags.c_contiguous:
+        x = np.array(x, dtype="<i8")
+    return x[..., None].view(np.uint8)
+
+
+def _linear(tables: np.ndarray, x, row=0):
+    """x under the linear map whose byte tables are tables[row], of (rows, bytes, 256)
+    tables, row an int or an int64 array broadcasting against x: the XOR of one gather
+    per byte of x, at intp indices (numpy's take is several times slower at narrow ones)."""
+    xb, nb = _bytes(x), tables.shape[-2]
+    flat = tables.reshape(-1)
+    out = flat.take(np.add(xb[..., 0], row * nb << 8, dtype=np.intp))
+    for b in range(1, nb):
+        out ^= flat.take(np.add(xb[..., b], (row * nb + b) << 8, dtype=np.intp))
+    return out
 
 
 def gf2_reduce(vectors, basis: np.ndarray):
@@ -294,10 +376,12 @@ def roots_of_unity(field: Field, n: int) -> list[int]:
     if n < 1 or field.order % n:
         raise ValueError(f"{n} does not divide multiplicative order {field.order}")
     h = field.pow(field.generator, field.order // n)
-    powers, step = np.ones(1, dtype=np.int64), h  # h^0..h^(j-1) and h^j, doubling j
-    while len(powers) < n:
-        powers = np.concatenate((powers, field.array_ops.mul(powers, step)))
-        step = field.mul(step, step)
-    roots = sorted(set(powers[:n].tolist()))
+    # h^(side j + i) = (h^side)^j h^i: side^2 >= n powers from 2 side scalar steps and
+    # one array multiply, whose (side, 1) x (side,) product is in exponent order
+    side = math.isqrt(n - 1) + 1
+    baby = list(itertools.accumulate([h] * side, field.mul, initial=1))  # h^0..h^side
+    giant = list(itertools.accumulate([baby[side]] * (side - 1), field.mul, initial=1))
+    powers = field.array_ops.mul(np.array(giant)[:, None], np.array(baby[:side]))
+    roots = sorted(set(powers.ravel()[:n].tolist()))
     assert len(roots) == n, "generator must have full multiplicative order"
     return roots

@@ -25,7 +25,9 @@ field ops: the scalar :class:`Field` (:func:`eval_hexanomial`,
 :func:`eval_derivative`, :func:`eval_derivative_linear`, whose
 coefficients are cached) or its array view ``field.array_ops`` (the
 value table, the kernel route's w^2 values of B and the spot check in
-:mod:`apnforge.differential`).
+:mod:`apnforge.differential`).  Field ops are ``mul``, ``frobenius`` and
+``times(k)``, multiplication by a fixed k, which the forms use for c, c^r
+and d; the array view compiles each such k into its own tables.
 
 F is represented operationally, as evaluation procedures, not as a
 coefficient list.
@@ -138,15 +140,16 @@ def _conjugates(f, p: BCParams, x):
     return f.frobenius(x, p.m), f.frobenius(x, p.n), f.frobenius(x, p.m + p.n)
 
 
+def _constants(f, p: BCParams):
+    """Multiplication by c, c^r and d under field ops f, each compiled once by f.times."""
+    return f.times(p.c), f.times(f.frobenius(p.c, p.m)), f.times(p.d)
+
+
 def hexanomial_form(f, p: BCParams, x):
     """F(x) under field ops f: six terms, three Frobenius iterates of x."""
     xr, xs, xrs = _conjugates(f, p, x)
-    cr = f.frobenius(p.c, p.m)
-    return (
-        f.mul(x, xs ^ xr ^ f.mul(p.c, xrs))
-        ^ f.mul(xs, f.mul(cr, xr) ^ f.mul(p.d, xrs))
-        ^ f.mul(xrs, xr)
-    )
+    c, cr, d = _constants(f, p)
+    return f.mul(x, xs ^ xr ^ c(xrs)) ^ f.mul(xs, cr(xr) ^ d(xrs)) ^ f.mul(xrs, xr)
 
 
 def eval_hexanomial(p: BCParams, x: int) -> int:
@@ -171,13 +174,8 @@ def bilinear_coeffs(f, p: BCParams, a):
     """(b0, br, bs, brs): B(a, y) = b0 y + br y^r + bs y^s + brs y^(rs), under field ops f:
     the scalar :class:`Field` (a is one element) or its array view (a is an array)."""
     ar, an, ars = _conjugates(f, p, a)
-    cr = f.frobenius(p.c, p.m)
-    return (
-        an ^ ar ^ f.mul(p.c, ars),
-        a ^ f.mul(cr, an) ^ ars,
-        a ^ f.mul(cr, ar) ^ f.mul(p.d, ars),
-        f.mul(p.c, a) ^ f.mul(p.d, an) ^ ar,
-    )
+    c, cr, d = _constants(f, p)
+    return an ^ ar ^ c(ars), a ^ cr(an) ^ ars, a ^ cr(ar) ^ d(ars), c(a) ^ d(an) ^ ar
 
 
 def collapsed_coeffs(f, p: BCParams, a):

@@ -8,9 +8,9 @@ across two very different code paths.
 
 :class:`TableOps` is the exception: field ops by exp/log lookup, for
 ints and arrays, with the arrays rebuilt here from the field's public
-``generator`` and ``mul``.  The library multiplies by shift-and-reduce
-everywhere, so these tables are an independent arithmetic to hold it
-to, fast enough for exhaustive loops; :func:`derivative_table` also
+``generator`` and ``mul``.  The library multiplies scalars by
+shift-and-reduce and arrays by byte-table gathers, so these tables are a
+third arithmetic to hold both to, fast enough for exhaustive loops; :func:`derivative_table` also
 reads the library's value table.  :func:`search_c` and
 :func:`array_search_c` scan every candidate ``c`` against every unity
 root, one pair at a time or a chunk of candidates at a time on the
@@ -176,8 +176,8 @@ def exp_log_tables(field):
 
 class TableOps:
     """Field ops by exp/log lookup, for ints and int arrays alike: the reference the
-    library's shift-and-reduce arithmetic is held to.  exp is doubled, so mul needs
-    no reduction of the summed logs."""
+    library's scalar and array arithmetic are held to.  exp is doubled, so mul needs
+    no reduction of the summed logs; times(k) is mul with k fixed."""
 
     def __init__(self, field):
         self.w, self.order = field.w, field.order
@@ -188,6 +188,9 @@ class TableOps:
 
     def frobenius(self, x, t=1):
         return self.exp[(self.log[x] << (t % self.w)) % self.order] * (x != 0)
+
+    def times(self, k):
+        return functools.partial(self.mul, k)
 
 
 def search_c(field, m, n):

@@ -359,6 +359,35 @@ def test_stdout_bytes_pinned(capsys, argv, exit_code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_back_to_back_runs_share_one_parser_and_no_flags(capsys, tmp_path):
+    """main builds its parser once per process, and every call parses afresh: after
+    calls with --out, --seed, --ddt-out, --format csv and a usage error, pinned argv
+    lists without those flags still print their pinned bytes and exit codes."""
+    pinned = {argv: (code, digest) for argv, code, digest in PINNED_STDOUT}
+    report, ddt = tmp_path / "report.json", tmp_path / "ddt.csv"
+    code, out, _ = run(capsys, "verify", "--m", "3", "--n", "2", "--seed", "5",
+                       "--out", str(report), "--ddt-out", str(ddt))
+    assert (code, out) == (EXIT_OK, "") and report.exists() and ddt.exists()
+    ddt.unlink()
+    sequence = [
+        ("verify", "--m", "3", "--n", "2"),
+        ("sweep", "--m-range", "1..4", "--n-range", "1..6", "--format", "csv"),
+        ("sweep", "--m-range", "1..3", "--n-range", "1..4"),
+        ("verify", "--m", "2", "--n", "1", "--c", "2"),
+        ("verify", "--m", "x"),
+        ("witness", "--m", "2", "--n", "1", "--y", "8"),
+        ("verify", "--m", "1", "--n", "2"),
+    ]
+    for argv in sequence:
+        code, out, _ = run(capsys, *argv)
+        if argv in pinned:
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == pinned[argv], argv
+        else:
+            assert code == EXIT_USAGE
+    assert not ddt.exists()
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_traced_benchmark_replay_reproduces_cli_stdout(capsys):
     """perfbench/replay.py re-runs verify through public calls; its bytes must match."""
     root = Path(__file__).resolve().parents[1]

@@ -37,7 +37,7 @@ APN_21 = params(2, 1, 9, 2)
 
 def test_value_table_matches_pointwise():
     tab = value_table(APN_21)
-    assert tab.dtype == np.int64
+    assert tab.dtype == np.int32
     assert tab.tolist() == [eval_hexanomial(APN_21, x) for x in range(16)]
 
 
@@ -200,17 +200,47 @@ def test_kernel_route_never_reads_the_value_table(monkeypatch):
 
 
 def test_array_ops_match_field_ops():
-    """Every pair at w <= 8 and seeded samples at w = 16 against the oracle's table ops;
-    seeded samples at w = 18 and 24 against the big-int oracle.  The scalar Field runs
-    the array view's own code, so only the oracle is an independent comparison."""
+    """The array view's gathers against two independent arithmetics: every pair at w <= 8
+    against the oracle's exp/log tables; at every w from 1 to 24, seeded samples against
+    the big-int oracle and the scalar Field, which multiplies by shift-and-reduce; and
+    2000 seeded samples at w = 16 (tables), 18 and 24 (big-int).  The samples cover the
+    byte-pair multiply and times(k) on equal shapes, on the c search's (k, 1) x (n,)
+    broadcast, with a Python int on either side, and on non-contiguous views
+    (_check_table's reversed reshape), and every Frobenius power."""
     for w in range(1, 9):
         f = make_field(w)
         ops, ref = f.array_ops, oracle.TableOps(f)
         xs = np.arange(f.size)
         for y in range(f.size):
             assert (ops.mul(xs, y) == ref.mul(xs, y)).all()
+            assert (ops.times(y)(xs) == ref.mul(xs, y)).all()
         for t in range(2 * w):
             assert (ops.frobenius(xs, t) == ref.frobenius(xs, t)).all()
+    rng = random.Random(7)
+    for w in range(1, 25):
+        f = make_field(w)
+        ops = f.array_ops
+
+        def mul(x, y):
+            return oracle.gfmul(x, y, f.modulus)
+
+        xs, ys = ([0, 1, f.size - 1] + [rng.randrange(f.size) for _ in range(125)] for _ in "xy")
+        x, y, k = np.array(xs), np.array(ys), ys[3]
+        products = [mul(u, v) for u, v in zip(xs, ys)]
+        assert ops.mul(x, y).tolist() == products == [f.mul(u, v) for u, v in zip(xs, ys)], w
+        assert ops.mul(x[:8, None], y).tolist() == [[mul(u, v) for v in ys] for u in xs[:8]], w
+        by_k = [mul(k, u) for u in xs]
+        assert ops.mul(k, x).tolist() == ops.mul(x, k).tolist() == ops.times(k)(x).tolist() == by_k
+        assert ops.times(k)(x[:8, None]).tolist() == [[v] for v in by_k[:8]]
+        # F(a + X^i) at every a in _check_table: the halves of each block of 2^(i+1) swapped
+        swapped, y3 = x.reshape(-1, 2, 4)[:, ::-1], y.reshape(-1, 2, 4)
+        assert not swapped.flags.c_contiguous
+        expected = swapped.ravel().tolist()
+        assert ops.mul(swapped, y3).ravel().tolist() == [mul(u, v) for u, v in zip(expected, ys)]
+        assert ops.times(k)(swapped).ravel().tolist() == [mul(k, u) for u in expected]
+        for t in range(w + 1):
+            powers = [oracle.gfpow(u, 1 << t, f.modulus) for u in expected]
+            assert ops.frobenius(swapped, t).ravel().tolist() == powers, (w, t)
     rng = np.random.default_rng(7)
     for w in (16, 18, 24):
         f = make_field(w)

@@ -100,13 +100,18 @@ def test_mul_matches_oracle_exhaustively():
 
 
 def test_mul_matches_oracle_above_table_range():
-    """Sampled products at w = 17 against the big-int oracle."""
-    f = make_field(17)
-    xs = [1, 2, 0x1F2A3, 0x0BEEF, f.generator, f.size - 1]
-    for x in xs:
-        for y in xs:
-            assert f.mul(x, y) == oracle.gfmul(x, y, f.modulus)
-    assert f.mul(f.inv(0x1F2A3), 0x1F2A3) == 1
+    """Sampled products at w = 17 and 24 against the big-int oracle: the scalar
+    shift-and-reduce, and on the array view the byte-pair multiply (on a (k, 1) x (n,)
+    broadcast) and times(k)."""
+    for w, xs in [(17, [1, 2, 0x1F2A3, 0x0BEEF]), (24, [1, 2, 0xFEDCBA, 0x80FF01])]:
+        f = make_field(w)
+        xs += [f.generator, f.size - 1]
+        expected = [[oracle.gfmul(x, y, f.modulus) for y in xs] for x in xs]
+        assert [[f.mul(x, y) for y in xs] for x in xs] == expected
+        column, row = np.array(xs)[:, None], np.array(xs)
+        assert f.array_ops.mul(column, row).tolist() == expected
+        assert [f.array_ops.times(x)(row).tolist() for x in xs] == expected
+        assert f.mul(f.inv(xs[2]), xs[2]) == 1
 
 
 def test_scalar_frobenius_is_an_int_matching_the_oracle_at_every_degree():
@@ -314,6 +319,18 @@ def test_make_field_degree_cap():
         make_field(25)
     with pytest.raises(ValueError):
         make_field(0)
+
+
+def test_array_view_refuses_results_past_int32():
+    """A field past make_field's cap still builds and multiplies scalars, but its array
+    view, whose results are int32, refuses w > 31 instead of overflowing."""
+    f = Field(32)
+    assert f.mul(f.size - 1, 2) == oracle.gfmul(f.size - 1, 2, f.modulus)
+    with pytest.raises(SizeLimitError, match="w=32 exceeds 31"):
+        f.array_ops
+    g = Field(31)
+    top = g.array_ops.mul(np.array([g.size - 1]), g.size - 1)
+    assert top.dtype == np.int32 and top.tolist() == [oracle.gfmul(g.size - 1, g.size - 1, g.modulus)]
 
 
 def test_degree_zero_is_refused():
