@@ -4,18 +4,19 @@ F is quadratic, so each derivative is affine with linear part B(a, .),
 B(a, y) = F(a + y) + F(a) + F(y) + F(0) being F_2-bilinear: its nonzero
 fibers are cosets of one kernel, whose size fixes the fiber histogram.
 |ker| at every shift a != 0 is 2^(w - rank), with the F_2-rank of the w
-images B(a, X^i) from one elimination in int32 rows vectorized over all
-shifts (:func:`gf2_reduce`), O(w^2 2^w).  Two independent routes give
-those images, and :func:`derivative_spectrum` ranks them only once they
+images B(a, X^i) from one elimination over all shifts at once, on uint64
+bit-planes of 64 shifts a word (:mod:`apnforge.bitplanes`), O(w^3 2^w / 64)
+word operations.  Two independent routes
+give those images, and :func:`derivative_spectrum` ranks them only once they
 agree image by image:
 
-* the kernel route builds them by XOR from the w^2 values B(X^j, X^i) of
+* the kernel route builds their planes from the w^2 values B(X^j, X^i) of
   the linearized form in :mod:`apnforge.hexanomial`, whose coefficients
   the spot check holds to the definition of D_a on seeded (a, x) pairs;
   it never reads F's table;
 * the definition route reads them off a table of F (its formula on the
-  field's array view), once the scalar F has matched the table at every
-  x of weight <= 2, the points that fix a quadratic map.
+  field's array view), packed into planes, once the scalar F has matched
+  the table at every x of weight <= 2, the points that fix a quadratic map.
 
 The kernel route's images are linear in a, so their agreement at every
 shift makes every derivative of the table affine: that is the certificate
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hexanomial
-from .field import SizeLimitError, gf2_reduce
+from . import bitplanes, hexanomial
+from .field import SizeLimitError
 from .hexanomial import BCParams, eval_hexanomial
 
 SPECTRUM_DEGREE_CAP = 16
@@ -55,9 +56,9 @@ class CrossCheckError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)  # eq would compare arrays, whose truth value is ambiguous
 class DerivativeSpectrum:
-    """kernels[a] = |ker| of the derivative at shift a (index 0 unused); basis[:, a], an
-    echelon basis of Im B(a, .) (row b has leading bit b, or is 0), and offsets[a] =
-    D_a(0) = F(a) + F(0) give the coset the DDT's row a is supported on."""
+    """kernels[a] = |ker| of the derivative at shift a (index 0 unused); the bit-planes of
+    each shift's echelon basis of Im B(a, .) and of offsets D_a(0) = F(a) + F(0) give the
+    coset the DDT's row a is supported on."""
 
     kernels: np.ndarray
     basis: np.ndarray
@@ -105,69 +106,76 @@ def check_degree(what: str, w: int, degree_cap: int) -> None:
         raise SizeLimitError(f"{what} for w={w} exceeds cap {degree_cap}")
 
 
-def _check_table(p: BCParams, images: np.ndarray) -> np.ndarray:
-    """D_a(0) = F(a) + F(0) at every shift a, int32, read off F's value table once the
-    table has equalled the scalar F at every x of weight <= 2 and given
-    F(a + X^i) + F(a) + F(X^i) + F(0) = images[i, a] at every shift a and basis index i;
-    else CrossCheckError.  The images are linear in a, so agreement makes every D_{X^i}
-    of the table affine: it is quadratic, with the linearized bilinear form.  A quadratic
-    map is fixed by its values at weight <= 2, so the table is the scalar F everywhere;
-    the scalar Field multiplies by shift-and-reduce, the table's array view by gathers,
-    so the loop holds one arithmetic to the other."""
+def _check_table(p: BCParams, planes: np.ndarray) -> np.ndarray:
+    """The planes of D_a(0) = F(a) + F(0) at every shift a, read off F's value table once
+    the table has equalled the scalar F at every x of weight <= 2 and given
+    F(a + X^i) + F(a) + F(X^i) + F(0) = planes[i] at every shift a and basis index i;
+    else CrossCheckError at the least bad a.  The images are linear in a, so agreement
+    makes every D_{X^i} of the table affine: it is quadratic, with the linearized
+    bilinear form.  A quadratic map is fixed by its values at weight <= 2, so the table
+    is the scalar F everywhere; the scalar Field multiplies by shift-and-reduce, the
+    table's array view by gathers, so the loop holds one arithmetic to the other."""
     w = p.field.w
     ftab = value_table(p)
     for x in [0] + [1 << i | 1 << j for i in range(w) for j in range(i, w)]:
         if int(ftab[x]) != eval_hexanomial(p, x):
             raise CrossCheckError(f"value table disagrees with F at x={x:#x}")
-    base = ftab ^ ftab[0]
-    for i, image in enumerate(images):
-        # F(a + X^i) at every a: swap the halves of each block of 2^(i+1) shifts
-        row = ftab.reshape(-1, 2, 1 << i)[:, ::-1].ravel() ^ base ^ ftab[1 << i]
-        bad = np.flatnonzero(row != image)
-        if bad.size:
-            a = int(bad[0])
+    table = bitplanes.pack(ftab, w)
+    offsets = table ^ bitplanes.constant(ftab[0], w)
+    corners = bitplanes.constant(ftab[1 << np.arange(w)], w)  # F(X^i) at every shift
+    for i, image in enumerate(planes):
+        # F(a + X^i) + F(a) + F(0) + F(X^i) + B(a, X^i), every bit of every shift a
+        bad = bitplanes.flip(table, i) ^ offsets ^ corners[i] ^ image
+        bad = np.bitwise_or.reduce(bad, axis=0) & bitplanes.valid(w)
+        if bad.any():
+            h = int(np.flatnonzero(bad)[0])
+            l = (int(bad[h]) & -int(bad[h])).bit_length() - 1
+            a = h << 6 | l
+            route = sum((int(word) >> l & 1) << b for b, word in enumerate(image[:, h]))
             raise CrossCheckError(
-                f"shift a={a:#x}, basis X^{i}: value table {int(row[a]):#x}"
-                f" vs kernel route {int(image[a]):#x}"
+                f"shift a={a:#x}, basis X^{i}: value table"
+                f" {int(ftab[a ^ 1 << i] ^ ftab[a] ^ ftab[1 << i] ^ ftab[0]):#x}"
+                f" vs kernel route {route:#x}"
             )
-    return base
+    return offsets
 
 
 def derivative_spectrum(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP) -> DerivativeSpectrum:
-    """The spectrum of every a != 0 from the kernel route's images B(a, X^i), once F's
+    """The spectrum of every a != 0 from the kernel route's planes of B(a, X^i), once F's
     value table has given the same image at every shift (:func:`_check_table`)."""
     check_degree("spectrum", p.field.w, degree_cap)
-    images = bilinear_images(p)
-    offsets = _check_table(p, images)  # its table is freed before the elimination
-    return DerivativeSpectrum(*_eliminate(images), offsets)
+    planes = bilinear_planes(p)
+    offsets = _check_table(p, planes)  # its table is freed before the elimination
+    basis = bitplanes.echelon(planes)
+    return DerivativeSpectrum(_kernels(basis), basis, offsets)
 
 
-def _eliminate(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(2^(w - rank) at every shift, index 0 unused; the echelon basis of each shift's
-    span) from the w int32 (w, 2^w) images of every shift, in one elimination."""
-    basis = np.zeros_like(images)  # w <= 24 < 31: rows fit int32
-    for _ in gf2_reduce(images, basis):
-        pass
-    kernels = np.left_shift(1, len(basis) - np.count_nonzero(basis, axis=0))
+def _kernels(basis: np.ndarray) -> np.ndarray:
+    """2^(w - rank) at every shift from its echelon basis, int64, index 0 unused."""
+    kernels = np.left_shift(1, len(basis) - bitplanes.ranks(basis), dtype=np.int64)
     kernels[0] = 0
-    return kernels, basis
+    return kernels
 
 
-def bilinear_images(p: BCParams) -> np.ndarray:
-    """images[i, a] = B(a, X^i) at every a, int32 (w, 2^w), without F's table: B is linear
-    in a, so a's images XOR the rows B(X^j, X^.) over the bits j of a, one doubling per bit."""
+def bilinear_planes(p: BCParams) -> np.ndarray:
+    """planes[i], the bit-planes of B(a, X^i) at every a, without F's table: B is linear in
+    a, so a's images XOR the rows B(X^j, X^.) over the bits j of a, one doubling per bit,
+    of the values of a < 64 (word 0), then of whole words."""
     w, ops = p.field.w, p.field.array_ops
     xj, xi = 1 << np.indices((w, w), dtype=np.int64)  # X^j down the rows, X^i across
     tensor = hexanomial.collapsed_form(ops, p, hexanomial.bilinear_coeffs(ops, p, xj), xi)
-    images = np.zeros((w, 1 << w), dtype=np.int32)
-    for j, row in enumerate(tensor):  # row j: B(X^j, X^i) for each i, int32
-        np.bitwise_xor(images[:, : 1 << j], row[:, None], out=images[:, 1 << j : 2 << j])
-    return images
+    low = np.zeros((w, min(64, 1 << w)), dtype=np.int64)
+    for j, row in enumerate(tensor[:6]):  # row j: B(X^j, X^i) for each i
+        np.bitwise_xor(low[:, : 1 << j], row[:, None], out=low[:, 1 << j : 2 << j])
+    planes = bitplanes.pack(low, w)
+    for j, row in enumerate(bitplanes.constant(tensor[6:], w)):
+        np.bitwise_xor(planes[..., : 1 << j], row, out=planes[..., 1 << j : 2 << j])
+    return planes
 
 
 def kernel_sizes(p: BCParams) -> np.ndarray:
     """|ker D_a| = |ker B(a, .)| = 2^(w - rank) for every a (index 0 unused): the kernel route."""
-    return _eliminate(bilinear_images(p))[0]
+    return _kernels(bitplanes.echelon(bilinear_planes(p)))
 
 
 def _coset_histogram(size: int, kernel: int) -> dict[int, int]:
@@ -194,13 +202,13 @@ def cross_check_spectrum(p: BCParams, spec: DerivativeSpectrum) -> None:
 
 
 def _spot_check(p: BCParams, seed: int) -> dict:
-    """Seeded (a, x) samples on which the defining and linearized forms of D_a must agree."""
-    rng = random.Random(seed)
+    """Seeded (a, x) samples on which the defining and linearized forms of D_a must agree,
+    reduced from 32-bit words of one draw (a bias below 2^-8)."""
     size = p.field.size
-    a, x = np.array(
-        [(rng.randrange(1, size), rng.randrange(size)) for _ in range(SPOT_CHECK_SAMPLES)],
-        dtype=np.int64,
-    ).T
+    bits = random.Random(seed).getrandbits(64 * SPOT_CHECK_SAMPLES)
+    words = np.frombuffer(bits.to_bytes(8 * SPOT_CHECK_SAMPLES, "little"), dtype="<u4")
+    a, x = words.astype(np.int64).reshape(-1, 2).T
+    a, x = a % (size - 1) + 1, x % size
     ops = p.field.array_ops
     defining = hexanomial.derivative_form(ops, p, a, x)
     collapsed = hexanomial.collapsed_form(ops, p, hexanomial.collapsed_coeffs(ops, p, a), x)
@@ -219,8 +227,8 @@ def verify_instance(
     """The whole exact check: (the certified spectrum, the spot check's record).
 
     The spectrum cap is checked before any work and never exceeds w = 16:
-    the routes hold all 2^w shifts at once, unchunked (at w = 20 the whole
-    check took 3.6 s with a 245 MiB peak, one in-process run on a 2-core Xeon);
+    the routes hold all 2^w shifts at once (at w = 20 the whole check took
+    0.6-1.0 s with a 145 MiB peak, in-process runs on a 2-core Xeon);
     raising it waits on chunked routes and a predicted-memory check.  The
     routes' images are compared at every shift and ranked once, and the spot
     check runs; any failed certificate or disagreement raises
@@ -251,11 +259,11 @@ def _coset_masks(spec: DerivativeSpectrum):
     D_0(0) = 0: its mask is b == 0.  The residues are taken now, so the spectrum may go;
     the mask is scratch shared by every block, valid only until the next is requested."""
     w, size = len(spec.basis), len(spec.kernels)
-    residues = np.empty((w + 1, size), dtype=np.min_scalar_type(size - 1))
-    for i, row in enumerate([spec.offsets] + [1 << i for i in range(w)]):  # D_a(0), X^i
-        for b in reversed(range(w)):  # reduced top-down, one row at a time
-            row = row ^ (spec.basis[b] & -((row >> b) & 1))
-        residues[i] = row
+    vectors = np.empty((w + 1, *spec.offsets.shape), dtype=np.uint64)
+    vectors[0] = spec.offsets  # D_a(0), then X^0..X^(w-1) at every shift
+    vectors[1:] = bitplanes.constant(1 << np.arange(w), w)
+    bitplanes.reduce(vectors, spec.basis)
+    residues = bitplanes.unpack(vectors, np.min_scalar_type(size - 1))
     step = max(1, _DDT_BLOCK_CELLS // size)
     # scratch shared by every block: with fresh buffers the allocator can hand their pages
     # back and fault them in again block after block (about 53,000 faults at w = 12)

@@ -26,9 +26,10 @@ F_2-linear map compiled into such tables once, and a general product
 XORs byte-pair carryless products from one table shared by all fields,
 then reduces its high bits by one more linear map.
 :func:`roots_of_unity` takes its powers in one array multiply.
-:func:`gf2_reduce` is the one F_2 elimination, shared by the c search
-and both rank routes.  Field objects are immutable after construction
-and safe to share.
+:func:`gf2_reduce` is the c search's F_2 elimination, over tagged int64
+columns; the derivative spectrum's runs on bit-planes
+(:mod:`apnforge.bitplanes`).  Field objects are immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations

@@ -29,6 +29,10 @@ bincounts F(x) + F(x + a) over every x for every shift, O(4^w), and
 assumes nothing about the degree of F.  :func:`anf_degree` is the
 degree certificate the library's image-by-image route comparison
 replaced: a binary Moebius transform of a value table.
+:func:`eliminate` is the elimination the library's bit-plane one
+replaced: :func:`~apnforge.field.gf2_reduce` over int rows, one column per
+shift, fed the images B(a, X^i) that :func:`bilinear_images` reads off F
+on the tables.
 :func:`ddt_by_definition` is the DDT count the library's coset rows
 replaced: it gathers F(x + a) + F(x) for every cell of a block of rows
 and bincounts them, again assuming nothing about the degree of F.
@@ -42,7 +46,12 @@ import numpy as np
 from apnforge.compatibility import eval_compat_poly
 from apnforge.differential import value_table
 from apnforge.field import gf2_reduce, roots_of_unity
-from apnforge.hexanomial import collapsed_coeffs, collapsed_form, eval_derivative_linear
+from apnforge.hexanomial import (
+    collapsed_coeffs,
+    collapsed_form,
+    eval_derivative_linear,
+    hexanomial_form,
+)
 
 
 def deg(p):
@@ -306,6 +315,30 @@ def per_shift_kernel_sizes(p):
     out = np.zeros(p.field.size, dtype=np.int64)
     out[1:] = np.left_shift(1, w - np.count_nonzero(basis, axis=0))
     return out
+
+
+def bilinear_images(p):
+    """images[i, a] = B(a, X^i) = F(a + X^i) + F(a) + F(X^i) + F(0) at every a, int64
+    (w, 2^w), with F on the table ops."""
+    ops = TableOps(p.field)
+    shifts, basis = np.arange(p.field.size), 1 << np.arange(p.field.w)[:, None]
+
+    def F(x):
+        return hexanomial_form(ops, p, x)
+
+    return F(shifts ^ basis) ^ F(shifts) ^ F(basis) ^ F(0)
+
+
+def eliminate(images):
+    """(2^(w - rank) at every shift, index 0 unused; the echelon basis of each shift's
+    span, row b leading at bit b or 0) from the (w, 2^w) images of every shift, by
+    gf2_reduce in int rows, one shift per column."""
+    basis = np.zeros_like(images)
+    for _ in gf2_reduce(images, basis):
+        pass
+    kernels = np.left_shift(1, len(basis) - np.count_nonzero(basis, axis=0))
+    kernels[0] = 0
+    return kernels, basis
 
 
 def anf_degree(table):

@@ -9,9 +9,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from apnforge import cli, compatibility, differential
+from apnforge import bitplanes, cli, compatibility, differential
 from apnforge.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
@@ -214,31 +215,33 @@ def test_verify_ddt_export_builds_one_table_and_runs_one_elimination(
 ):
     """The DDT is written from the spectrum verify certified, not counted again from a
     second value table."""
-    calls = {"value_table": 0, "gf2_reduce": 0}
-    for name in calls:
-        orig = getattr(differential, name)
+    calls = {"value_table": 0, "echelon": 0}
+    for module, name in [(differential, "value_table"), (bitplanes, "echelon")]:
+        orig = getattr(module, name)
 
         def counted(*args, _name=name, _orig=orig):
             calls[_name] += 1
             return _orig(*args)
 
-        monkeypatch.setattr(differential, name, counted)
+        monkeypatch.setattr(module, name, counted)
     code, _, _ = run(capsys, "verify", "--m", "3", "--n", "2", "--ddt-out",
                      str(tmp_path / "ddt.csv"))
     assert code == EXIT_OK
-    assert calls == {"value_table": 1, "gf2_reduce": 1}
+    assert calls == {"value_table": 1, "echelon": 1}
 
 
 def test_verify_ddt_export_refuses_uncertified_images(tmp_path, capsys, monkeypatch):
     """Images the value table contradicts raise before any DDT byte is written."""
-    orig = differential.bilinear_images
+    orig = differential.bilinear_planes
 
-    def swapped(p):
-        images = orig(p)
-        images[[0, 1], 4] = images[[1, 0], 4]
-        return images
+    def swapped(p):  # B(4, X^0) and B(4, X^1) swapped: bit 4 of word 0 of their planes
+        planes = orig(p)
+        moved = (planes[0, :, 0] ^ planes[1, :, 0]) & np.uint64(1 << 4)
+        planes[0, :, 0] ^= moved
+        planes[1, :, 0] ^= moved
+        return planes
 
-    monkeypatch.setattr(differential, "bilinear_images", swapped)
+    monkeypatch.setattr(differential, "bilinear_planes", swapped)
     code, out, err = run(capsys, "verify", "--m", "2", "--n", "1", "--ddt-out",
                          str(tmp_path / "ddt.csv"))
     assert code == EXIT_CHECK_FAILED
@@ -405,21 +408,28 @@ def test_traced_benchmark_replay_reproduces_cli_stdout(capsys):
     assert replayed == hashlib.sha256(out.encode()).hexdigest()
 
 
-def test_verify_does_not_import_numpy_ma():
-    """np.unique imports numpy.ma, about 18 ms in every fresh process; verify needs none of it."""
+@pytest.mark.parametrize("argv", [
+    ["verify", "--m", "3", "--n", "2"],
+    ["verify", "--m", "3", "--n", "2", "--ddt-out", "{tmp}/ddt.csv"],
+    ["sweep", "--m-range", "1..3", "--n-range", "1..4"],
+])
+def test_verify_does_not_import_numpy_ma(tmp_path, argv):
+    """np.unique imports numpy.ma, about 18 ms in every fresh process, and a first
+    numpy.random generator costs about as much; verify and sweep need neither."""
     root = Path(__file__).resolve().parents[1]
+    argv = [a.format(tmp=tmp_path) for a in argv]
     script = (
         "import sys\n"
         "from apnforge import cli\n"
-        "code = cli.main(['verify', '--m', '3', '--n', '2'])\n"
-        "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules, file=sys.stderr)\n"
     )
     pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
-    assert proc.stderr.splitlines()[-1] == f"{EXIT_OK} False", proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{EXIT_OK} False False", proc.stderr
 
 
 def test_witness_json_and_failure_modes(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
-from apnforge import differential, hexanomial
+from apnforge import bitplanes, differential, hexanomial
 from apnforge.differential import (
     CrossCheckError,
     DerivativeSpectrum,
@@ -23,7 +23,7 @@ from apnforge.differential import (
     value_table,
 )
 from apnforge.compatibility import compatibility_predicate, find_compatible_c
-from apnforge.field import SizeLimitError, make_field
+from apnforge.field import SizeLimitError, gf2_reduce, make_field
 from apnforge.hexanomial import BCParams, default_d, eval_derivative_linear, eval_hexanomial
 
 
@@ -171,17 +171,20 @@ def test_kernel_route_matches_per_shift_oracle(m, n, c, sizes):
 
 @pytest.mark.parametrize("m, n, c", [(2, 1, 9), (3, 2, 5), (6, 1, 2), (6, 4, 0), (8, 3, 7)])
 def test_kernel_route_images_are_bilinear(m, n, c):
-    """Row X^j of the kernel route's images is B(X^j, X^.) = F(X^j + X^.) + F(X^j) + F(X^.)
-    with F on the oracle's table ops, and the images built by doubling over the bits of
-    seeded shifts a are B(a, X^.) as well."""
+    """Row X^j of the kernel route's unpacked planes is
+    B(X^j, X^.) = F(X^j + X^.) + F(X^j) + F(X^.) with F on the oracle's table ops, and the
+    images built by doubling over the bits of seeded shifts a are B(a, X^.) as well."""
     p = params(m, n, c)
     ops = oracle.TableOps(p.field)
 
     def F(x):
         return hexanomial.hexanomial_form(ops, p, x)
 
-    images = differential.bilinear_images(p)
-    assert images.dtype == np.int32 and images.shape == (p.field.w, p.field.size)
+    planes = differential.bilinear_planes(p)
+    w = p.field.w
+    assert planes.dtype == np.uint64 and planes.shape == (w, w, max(1, p.field.size >> 6))
+    assert not (planes & ~bitplanes.valid(w)).any()  # no bits past shift 2^w - 1
+    images = bitplanes.unpack(planes)
     basis = 1 << np.arange(p.field.w)
     tensor = images[:, basis].T  # tensor[j, i] = B(X^j, X^i)
     assert (tensor == F(basis[:, None] ^ basis) ^ F(basis[:, None]) ^ F(basis)).all()
@@ -348,49 +351,64 @@ def test_definition_route_refuses_a_table_off_by_an_affine_map(monkeypatch):
 
 
 def test_is_apn_raises_when_kernel_route_disagrees(monkeypatch):
-    monkeypatch.setattr(
-        differential, "bilinear_images", lambda p: np.ones((p.field.w, p.field.size), np.int32)
-    )
-    with pytest.raises(CrossCheckError, match="shift a=0x0, basis X\\^0: value table 0x0"):
+    def all_ones(p):
+        return np.full((p.field.w, p.field.w, 1), np.iinfo(np.uint64).max, dtype=np.uint64)
+
+    monkeypatch.setattr(differential, "bilinear_planes", all_ones)
+    with pytest.raises(
+        CrossCheckError, match="shift a=0x0, basis X\\^0: value table 0x0 vs kernel route 0xf$"
+    ):
         is_apn(APN_21)
+
+
+def swap_images_at_shift_4(planes):
+    """The kernel route's planes with B(4, X^0) and B(4, X^1) swapped: bit 4 of word 0."""
+    moved = (planes[0, :, 0] ^ planes[1, :, 0]) & np.uint64(1 << 4)
+    planes[0, :, 0] ^= moved
+    planes[1, :, 0] ^= moved
+    return planes
 
 
 def test_a_rank_preserving_image_swap_is_refused(monkeypatch):
     """Swapping two of the kernel route's images at one shift keeps every rank, so
     comparing the routes' kernel sizes misses it; comparing their images does not."""
-    orig = differential.bilinear_images
+    orig = differential.bilinear_planes
 
     def swapped(p):
-        images = orig(p)
-        images[[0, 1], 4] = images[[1, 0], 4]
-        return images
+        return swap_images_at_shift_4(orig(p))
 
-    ranks = differential._eliminate(swapped(APN_21))[0]
+    images = bitplanes.unpack(swapped(APN_21))
+    reference = bitplanes.unpack(orig(APN_21))
+    assert images[:, 4].tolist() == reference[[1, 0, 2, 3], 4].tolist()
+    assert np.array_equal(np.delete(images, 4, axis=1), np.delete(reference, 4, axis=1))
+    ranks = differential._kernels(bitplanes.echelon(swapped(APN_21)))
     assert (ranks == kernel_sizes(APN_21)).all()
-    monkeypatch.setattr(differential, "bilinear_images", swapped)
+    monkeypatch.setattr(differential, "bilinear_planes", swapped)
     with pytest.raises(CrossCheckError, match="shift a=0x4, basis X\\^0: "):
         is_apn(APN_21)
 
 
 def test_verify_instance_ranks_once(monkeypatch):
     """One elimination per verify, and no second route ranked for comparison."""
-    calls = {"gf2_reduce": 0, "cross_check_spectrum": 0}
-    for name in calls:
-        orig = getattr(differential, name)
+    calls = {"echelon": 0, "cross_check_spectrum": 0}
+    for module, name in [(bitplanes, "echelon"), (differential, "cross_check_spectrum")]:
+        orig = getattr(module, name)
 
         def counted(*args, _name=name, _orig=orig):
             calls[_name] += 1
             return _orig(*args)
 
-        monkeypatch.setattr(differential, name, counted)
+        monkeypatch.setattr(module, name, counted)
     differential.verify_instance(params(3, 2, 3))
-    assert calls == {"gf2_reduce": 1, "cross_check_spectrum": 0}
+    assert calls == {"echelon": 1, "cross_check_spectrum": 0}
 
 
 def test_is_apn_runs_the_spot_check(monkeypatch):
-    """A wrong defining form fails the spot check, which names the first bad sample."""
-    rng = random.Random(0)
-    samples = [(rng.randrange(1, 16), rng.randrange(16)) for _ in range(1000)]
+    """A wrong defining form fails the spot check, which names the first bad sample: the
+    seeded generator's 64000 bits in one draw, as 32-bit words, a then x, reduced into
+    1..15 and 0..15."""
+    words = np.frombuffer(random.Random(0).getrandbits(64000).to_bytes(8000, "little"), "<u4")
+    samples = [(int(a) % 15 + 1, int(x) % 16) for a, x in words.reshape(-1, 2)]
     a, x = next((a, x) for a, x in samples if eval_derivative_linear(APN_21, a, x) != x ^ 1)
     monkeypatch.setattr(hexanomial, "derivative_form", lambda f, p, a, x: x ^ 1)
     with pytest.raises(CrossCheckError, match=f"forms disagree at a={a:#x}, x={x:#x}$"):
@@ -509,6 +527,46 @@ DDT_GRID = [
     (3, 3, 0),  # n/m odd: no compatible c, 8-to-one
     (6, 1, None),  # the benchmark's w = 12 instance
 ]
+
+
+@pytest.mark.parametrize(
+    "m, n, c", DDT_GRID + [(1, 1, 0), (5, 5, 0), (6, 3, 5), (8, 4, 3)]  # gcd 5 and 3; w = 16
+)
+def test_plane_elimination_matches_gf2_reduce(m, n, c):
+    """The elimination on bit-planes against gf2_reduce in int rows over the oracle's
+    images B(a, X^i), which the kernel route's planes unpack to: the same kernel sizes,
+    an unpacked echelon basis with the same pivots, each vector leading at its bit,
+    spanning the same space at every shift; and bitplanes.reduce leaves the residues
+    gf2_reduce leaves on that basis."""
+    p = params(m, n, find_compatible_c(m, n) if c is None else c)
+    w = p.field.w
+    images = oracle.bilinear_images(p)
+    planes = differential.bilinear_planes(p)
+    assert np.array_equal(bitplanes.unpack(planes), images)
+    basis_planes = bitplanes.echelon(planes)
+    kernels = differential._kernels(basis_planes)
+    reference_kernels, reference = oracle.eliminate(images)
+    assert np.array_equal(kernels, reference_kernels)
+    basis = bitplanes.unpack(basis_planes).astype(np.int64)
+    assert np.array_equal(basis != 0, reference != 0)
+    assert ((basis >> np.arange(w)[:, None] == 1) | (basis == 0)).all()
+    for v in reference:
+        assert not next(gf2_reduce([v], basis.copy())).any()
+    vectors = np.random.default_rng(w).integers(0, p.field.size, size=(3, p.field.size))
+    residues = bitplanes.pack(vectors, w)
+    bitplanes.reduce(residues, basis_planes)
+    expected = [next(gf2_reduce([v], basis.copy())) for v in vectors]
+    assert np.array_equal(bitplanes.unpack(residues), expected)
+
+
+@pytest.mark.parametrize("chunk_words", [1, 3])
+def test_plane_elimination_in_chunks_of_a_few_words(monkeypatch, chunk_words):
+    """Chunks of 64 or 192 shifts, whose edges fall inside the range, leave the basis of
+    one whole chunk: the elimination is shift by shift."""
+    planes = differential.bilinear_planes(params(6, 2, 5))  # kernel sizes 4 and 64
+    whole = bitplanes.echelon(planes)
+    monkeypatch.setattr(bitplanes, "ECHELON_WORDS", chunk_words)
+    assert np.array_equal(bitplanes.echelon(planes), whole)
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, None])
