@@ -14,9 +14,10 @@ Three views of the same question live here and check each other:
 * exhaustive search -- the least c, in canonical order, whose polynomial
   vanishes at no root of mu_{r+1} (:func:`find_compatible_c`), read off
   the union of each root's vanishing coset instead of a candidate scan,
-  window by window, the images of the basis joining the elimination only
-  when a window needs them; a sweep decides every n of one m in one
-  search, the (n, root) pairs sharing each elimination (:func:`sweep_reports`);
+  in windows [0, 2^k) for k = 2, 4, 8, ..., w, each right after the
+  images of X^0..X^(k-1) join the elimination, so a row found early
+  feeds few images; a sweep decides every n of one m in one search, the
+  (n, root) pairs sharing each elimination (:func:`sweep_reports`);
 * the exact closed-form criterion -- compatible c exist iff m > 1 and
   n/m is not an odd integer (:func:`compatibility_predicate`), whose
   integer core is the divisibility fact (2^m + 1) | (2^n + 1) iff n/m is
@@ -26,10 +27,10 @@ Three views of the same question live here and check each other:
   witnesses inside F_r union mu_{r+1} (:func:`witnesses`).
 
 The polynomial is written once (:func:`eval_compat_poly`), generic over
-field ops: the search evaluates it at c = 0 and at as many of X^0, ...,
-X^(w-1) as its windows read, :func:`vanishing_coeff_set` at all of them
-and :func:`is_compatible_c` at one c, on the field's array view, the
-witness report on the scalar field.  Everything is deterministic; a
+field ops: the search evaluates it at c = 0 for its target and takes the
+images of X^0, X^1, ... by recurrence from running products,
+:func:`is_compatible_c` evaluates it at one c, on the field's array view,
+the witness report on the scalar field.  Everything is deterministic; a
 sweep re-run must be byte-identical.
 """
 
@@ -43,7 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .field import Field, SizeLimitError, gf2_reduce, make_field, roots_of_unity
+from .field import Field, SizeLimitError, make_field, roots_of_unity_array
 from .hexanomial import instance_field
 
 # Values per array in either step of the c search: one per image and column as
@@ -74,7 +75,7 @@ def eval_compat_poly(f, m: int, n: int, c, y):
 
 
 def _unity_roots(field: Field, m: int) -> np.ndarray:
-    return np.array(roots_of_unity(field, (1 << m) + 1), dtype=np.int64)
+    return roots_of_unity_array(field, (1 << m) + 1)
 
 
 def is_compatible_c(c: int, m: int, n: int, field: Field | None = None) -> bool:
@@ -88,50 +89,65 @@ class _Cosets:
     """Each column's vanishing set, from the images of X^0..X^(fed-1) fed so far.
 
     Column j is the pair (n[j], y[j]): the columns may be the (n, root) pairs of
-    several n.  c -> P(c, y) + P(0, y) is F_2-linear, so the c with P(c, y) = 0
-    form a coset of its kernel, or none.  Image i joins the elimination tagged by
-    bit w + i, so a dependent image's residue tags a kernel element whose leading
-    bit is its own index: kernel[i] (0 where there is none) is an echelon basis.
-    The target P(0, y), evaluated with the first batch of images, is reduced by
-    each new pivot as it joins (one step: the new
-    basis vector is 0 at every earlier pivot), so its tags come from independent
-    images only and are 0 at every leading bit of the kernel basis: once its low
-    part is 0 they are the coset's least element (:meth:`least`).  Below 2^fed
-    that element and the kernel rows with leading bit < fed are those of the full
-    elimination, however many images are still to come.
+    several n.  c -> P(c, y) + P(0, y) = c y^s + c^r y is F_2-linear, so the c with
+    P(c, y) = 0 form a coset of its kernel, or none.  The image of X^i is
+    X^i y^s + (X^i)^r y: two running products per column, each advanced by one
+    multiplication by a fixed element (X and X^r) per image (:meth:`_images`).
+    Image i joins the elimination tagged by bit w + i (:func:`_join`), so a
+    dependent image's residue tags a kernel element whose leading bit is its own
+    index: kernel[i] (0 where there is none) is an echelon basis.  The target
+    P(0, y), evaluated at the first feed, is reduced by each new residue as it
+    joins (one step: the residue is 0 at every earlier pivot), so its tags come
+    from independent images only and are 0 at every leading bit of the kernel
+    basis: once its low part is 0 they are the coset's least element
+    (:meth:`least`).  Below 2^fed that element and the kernel rows with leading
+    bit < fed are those of the full elimination, however many images are still
+    to come.
     """
 
     def __init__(self, field: Field, m: int, n: np.ndarray, y: np.ndarray):
         if field.w > 31:  # the tags take bits w..2w-1 of an int64
             raise SizeLimitError(f"c search for w={field.w} exceeds 31")
         self.field, self.m, self.n, self.y, self.fed = field, m, n, y, 0
-        self.zero = np.zeros(len(y), dtype=np.int64)  # P(0, y), from the first batch
-        self.target = self.zero.copy()
-        self.basis = np.zeros((field.w, len(y)), dtype=np.int64)
+        self.target = np.zeros(len(y), dtype=np.int64)  # P(0, y), from the first feed
+        # X^(fed-1) y^s and (X^(fed-1))^r y, from the first feed
+        self.ys, self.yr = np.zeros((2, len(y)), dtype=np.int32)
+        # joined[i]: image i's residue where it joined, else 0; pivots[i]: its leading bit
+        self.joined = np.zeros((field.w, len(y)), dtype=np.int64)
+        self.pivots = np.zeros((field.w, len(y)), dtype=np.uint8)
         self.kernel = np.zeros((field.w, len(y)), dtype=np.int32)
 
     def feed(self, k: int) -> None:
-        """The images of X^fed..X^(k-1) join, over chunks of columns whose values fill
+        """The images of X^fed..X^(k-1) join, over chunks of columns whose images fill
         about _CHUNK_VALUES."""
         w, low, first = self.field.w, self.field.order, not self.fed
-        index = np.arange(self.fed, k)
-        c, tags = np.left_shift(1, index)[:, None], np.left_shift(1, w + index)[:, None]
-        if first:  # the target's c = 0 rides with the first batch
-            c = np.concatenate(([[0]], c))
-        step = max(1, _CHUNK_VALUES // len(c))
+        tags = np.left_shift(1, w + np.arange(self.fed, k))[:, None]
+        step = max(1, _CHUNK_VALUES // (len(tags) + first))  # the target rides with the first
         for lo in range(0, len(self.y), step):
             part = slice(lo, lo + step)
-            images = eval_compat_poly(self.field.array_ops, self.m, self.n[part], c, self.y[part])
-            if first:
-                self.zero[part] = self.target[part] = images[0]
-                images = images[1:]
             target = self.target[part]
-            for i, r in zip(index, gf2_reduce(images ^ self.zero[part] | tags, self.basis[:, part])):
+            if first:
+                ops, n, y = self.field.array_ops, self.n[part], self.y[part]
+                target[:] = eval_compat_poly(ops, self.m, n, 0, y)
+                self.ys[part], self.yr[part] = ops.frobenius(y, n), y
+            for i, v in enumerate(self._images(part, k) | tags, self.fed):
+                r = _join(v, self.joined[: i + 1, part], self.pivots[: i + 1, part], low)
                 self.kernel[i, part] = np.where(r & low, 0, r >> w)
-                # a joined r: of target and target ^ r, the one 0 at r's leading bit
-                # has the smaller low part; a dependent r (low part 0) changes nothing
-                np.copyto(target, target ^ r, where=(target ^ r) & low < target & low)
+                target ^= self.joined[i, part] & -(target >> self.pivots[i, part] & 1)
         self.fed = k
+
+    def _images(self, part: slice, k: int) -> np.ndarray:
+        """The images of X^fed..X^(k-1) at the columns `part`, (k - fed, columns) int64:
+        X^i y^s + (X^i)^r y, advancing both running products one image at a time."""
+        ops = self.field.array_ops
+        times_x, times_xr = ops.times(2), ops.times(self.field.frobenius(2, self.m))  # X, X^r
+        ys, yr = self.ys[part], self.yr[part]
+        images = np.empty((k - self.fed, len(ys)), dtype=np.int64)
+        for row, i in enumerate(range(self.fed, k)):
+            if i:
+                ys[:], yr[:] = times_x(ys), times_xr(yr)
+            np.bitwise_xor(ys, yr, out=images[row])
+        return images
 
     def least(self) -> np.ndarray:
         """Each column's least c < 2^fed that vanishes there, or 2^w where there is none."""
@@ -139,9 +155,31 @@ class _Cosets:
 
     def keep(self, columns: np.ndarray) -> None:
         """Only the columns where the boolean mask `columns` is set stay."""
-        self.n, self.y = self.n[columns], self.y[columns]
-        self.zero, self.target = self.zero[columns], self.target[columns]
-        self.basis, self.kernel = self.basis[:, columns], self.kernel[:, columns]
+        self.n, self.y, self.target = self.n[columns], self.y[columns], self.target[columns]
+        self.ys, self.yr = self.ys[columns], self.yr[columns]
+        self.joined, self.pivots = self.joined[:, columns], self.pivots[:, columns]
+        self.kernel = self.kernel[:, columns]
+
+
+def _join(v: np.ndarray, joined: np.ndarray, pivots: np.ndarray, low: int) -> np.ndarray:
+    """v's residue against joined[:-1], which it then joins as joined[-1] (F_2
+    elimination, vectorized over the columns).
+
+    Each earlier row is 0 at the pivots of the rows before it, so reducing v by
+    them in the order they joined, each at its own pivot, clears every pivot in
+    one pass of at most len(joined) - 1 steps, against one per low bit when
+    reducing by leading bit.  The residue 0 at every pivot is unique, so it is
+    that elimination's, tags included.  Only bits in `low` pivot; higher bits ride
+    along as tags, so a dependent vector's residue (low part 0) tags the
+    combination of earlier vectors that cancels it.  Where the residue's low part
+    is nonzero it joins with its leading bit as pivot; elsewhere joined[-1] is 0
+    (pivot 0), so later reductions skip it.
+    """
+    for r, p in zip(joined[:-1], pivots[:-1]):
+        v = v ^ r & -(v >> p & 1)
+    joined[-1] = np.where(v & low, v, 0)
+    pivots[-1] = np.frexp(v & low | 1)[1] - 1  # x = mantissa * 2^exponent, mantissa in [0.5, 1)
+    return v
 
 
 def _coset_elements(least: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -179,19 +217,19 @@ def _least_unmarked(cosets: _Cosets, count: int) -> list[int | None]:
 
     The c below 2^k that vanish at a column are least XOR the span of its kernel
     rows with leading bit below k when least < 2^k, and none otherwise, so window k
-    reads only the images of X^0..X^(k-1): they join lazily, in batches of doubling
-    size, just before the first window that needs them.  Window k = 0, 1, ... marks
-    those c for every undecided row at once, row i in the stretch i << k of one
-    array.  A row's first window with an unmarked c decides it, and its columns
-    leave before the next image, so a found c costs the window and about the
-    images of its own bit length.
+    reads only the images of X^0..X^(k-1).  They join in batches of doubling size,
+    and a window runs right after each: k = fed = 2, 4, 8, ..., w (a window between
+    two feeds reads no new image, so it decides nothing the next one misses).
+    Window k marks those c for every undecided row at once, row i in the stretch
+    i << k of one array.  A row's first window with an unmarked c decides it, and
+    its columns leave before the next feed, so a found c costs about the images of
+    twice its bit length.
     """
     w, per_row = cosets.field.w, len(cosets.y) // count
     found: list[int | None] = [None] * count
     rows = np.arange(count)
-    for k in range(w + 1):
-        if k > cosets.fed or not cosets.fed:  # the first batch, with the target, before window 0
-            cosets.feed(min(w, max(2, 2 * cosets.fed)))  # fed = 2, 4, 8, ..., always >= k
+    while len(rows) and cosets.fed < w:
+        cosets.feed(k := min(w, max(2, 2 * cosets.fed)))
         least = cosets.least().reshape(len(rows), per_row)
         row, col = np.nonzero(least < 1 << k)
         ker = cosets.kernel[:k].reshape(k, len(rows), per_row)[:, row, col]
@@ -207,8 +245,6 @@ def _least_unmarked(cosets: _Cosets, count: int) -> list[int | None]:
         if done.any():  # keep copies every column it keeps
             rows = rows[~done]
             cosets.keep(np.repeat(~done, per_row))
-        if not len(rows):
-            break
     return found
 
 

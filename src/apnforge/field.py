@@ -25,11 +25,8 @@ every Frobenius power and every multiplication by a fixed element is an
 F_2-linear map compiled into such tables once, and a general product
 XORs byte-pair carryless products from one table shared by all fields,
 then reduces its high bits by one more linear map.
-:func:`roots_of_unity` takes its powers in one array multiply.
-:func:`gf2_reduce` is the c search's F_2 elimination, over tagged int64
-columns; the derivative spectrum's runs on bit-planes
-(:mod:`apnforge.bitplanes`).  Field objects are immutable after
-construction and safe to share.
+:func:`roots_of_unity` takes its powers in one array multiply.  Field
+objects are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -57,11 +54,9 @@ def _poly_degree(p: int) -> int:
 
 def _poly_rem(p: int, m: int) -> int:
     """Remainder of the GF(2) polynomial p modulo m."""
-    dm = _poly_degree(m)
-    dp = _poly_degree(p)
-    while p and dp >= dm:
+    dm = m.bit_length()
+    while (dp := p.bit_length()) >= dm:
         p ^= m << (dp - dm)
-        dp = _poly_degree(p)
     return p
 
 
@@ -332,27 +327,6 @@ def _linear(tables: np.ndarray, x, row=0):
     return out
 
 
-def gf2_reduce(vectors, basis: np.ndarray):
-    """Reduce each vector against `basis` in turn and yield its residue (Gaussian
-    elimination over F_2), vectorized over the columns.
-
-    basis[b] holds, column by column, a vector whose leading bit is b, or 0.
-    Only bits below len(basis) pivot; higher bits ride along as tags, so a
-    dependent vector's residue (low part 0) tags the combination of earlier
-    vectors that cancels it.  A residue with a nonzero low part joins the basis
-    at its leading bit; it is 0 at every earlier leading bit.
-    """
-    w = len(basis)
-    low = (1 << w) - 1
-    for v in vectors:
-        for b in reversed(range(w)):
-            v = v ^ (basis[b] & -((v >> b) & 1))
-        new = np.flatnonzero(v & low)
-        lead = np.frexp(v[new] & low)[1] - 1  # x = mantissa * 2^exponent, mantissa in [0.5, 1)
-        basis[lead, new] = v[new]
-        yield v
-
-
 @functools.lru_cache(maxsize=None)
 def _field_cache(w: int, modulus: int) -> Field:
     return Field(w, modulus)
@@ -374,6 +348,11 @@ def make_field(w: int, modulus: int | None = None) -> Field:
 
 def roots_of_unity(field: Field, n: int) -> list[int]:
     """All n-th roots of unity in the field, ascending; n | 2^w - 1 required."""
+    return roots_of_unity_array(field, n).tolist()
+
+
+def roots_of_unity_array(field: Field, n: int) -> np.ndarray:
+    """:func:`roots_of_unity` as an ascending int64 array."""
     if n < 1 or field.order % n:
         raise ValueError(f"{n} does not divide multiplicative order {field.order}")
     h = field.pow(field.generator, field.order // n)
@@ -383,6 +362,6 @@ def roots_of_unity(field: Field, n: int) -> list[int]:
     baby = list(itertools.accumulate([h] * side, field.mul, initial=1))  # h^0..h^side
     giant = list(itertools.accumulate([baby[side]] * (side - 1), field.mul, initial=1))
     powers = field.array_ops.mul(np.array(giant)[:, None], np.array(baby[:side]))
-    roots = sorted(set(powers.ravel()[:n].tolist()))
-    assert len(roots) == n, "generator must have full multiplicative order"
+    roots = np.sort(powers.ravel()[:n]).astype(np.int64)
+    assert (roots[1:] > roots[:-1]).all(), "generator must have full multiplicative order"
     return roots

@@ -29,10 +29,12 @@ bincounts F(x) + F(x + a) over every x for every shift, O(4^w), and
 assumes nothing about the degree of F.  :func:`anf_degree` is the
 degree certificate the library's image-by-image route comparison
 replaced: a binary Moebius transform of a value table.
-:func:`eliminate` is the elimination the library's bit-plane one
-replaced: :func:`~apnforge.field.gf2_reduce` over int rows, one column per
-shift, fed the images B(a, X^i) that :func:`bilinear_images` reads off F
-on the tables.
+:func:`gf2_reduce` is the elimination by leading bit, w steps per
+vector, that the library's c search replaced with its insertion-order
+one; :func:`eliminate` is the elimination the library's bit-plane one
+replaced: :func:`gf2_reduce` over int rows, one column per shift, fed
+the images B(a, X^i) that :func:`bilinear_images` reads off F on the
+tables.
 :func:`ddt_by_definition` is the DDT count the library's coset rows
 replaced: it gathers F(x + a) + F(x) for every cell of a block of rows
 and bincounts them, again assuming nothing about the degree of F.
@@ -45,7 +47,7 @@ import numpy as np
 
 from apnforge.compatibility import eval_compat_poly
 from apnforge.differential import value_table
-from apnforge.field import gf2_reduce, roots_of_unity
+from apnforge.field import roots_of_unity
 from apnforge.hexanomial import (
     collapsed_coeffs,
     collapsed_form,
@@ -327,6 +329,27 @@ def bilinear_images(p):
         return hexanomial_form(ops, p, x)
 
     return F(shifts ^ basis) ^ F(shifts) ^ F(basis) ^ F(0)
+
+
+def gf2_reduce(vectors, basis):
+    """Reduce each vector against `basis` in turn and yield its residue (Gaussian
+    elimination over F_2), vectorized over the columns.
+
+    basis[b] holds, column by column, a vector whose leading bit is b, or 0.
+    Only bits below len(basis) pivot; higher bits ride along as tags, so a
+    dependent vector's residue (low part 0) tags the combination of earlier
+    vectors that cancels it.  A residue with a nonzero low part joins the basis
+    at its leading bit; it is 0 at every earlier leading bit.
+    """
+    w = len(basis)
+    low = (1 << w) - 1
+    for v in vectors:
+        for b in reversed(range(w)):
+            v = v ^ (basis[b] & -((v >> b) & 1))
+        new = np.flatnonzero(v & low)
+        lead = np.frexp(v[new] & low)[1] - 1  # x = mantissa * 2^exponent, mantissa in [0.5, 1)
+        basis[lead, new] = v[new]
+        yield v
 
 
 def eliminate(images):

@@ -305,23 +305,113 @@ def test_prefix_cosets_are_the_full_sets_cut_below_the_prefix():
                         assert set(compatibility._coset_elements(least[j : j + 1], ker)) == below
 
 
+def _spy_on_search(monkeypatch):
+    """Record each call of _Cosets._images as (fed, k) and each window as its fed."""
+    feeds, windows = [], []
+    images, least = compatibility._Cosets._images, compatibility._Cosets.least
+
+    def spy_images(self, part, k):
+        feeds.append((self.fed, k))
+        return images(self, part, k)
+
+    def spy_least(self):
+        windows.append(self.fed)
+        return least(self)
+
+    monkeypatch.setattr(compatibility._Cosets, "_images", spy_images)
+    monkeypatch.setattr(compatibility._Cosets, "least", spy_least)
+    return feeds, windows
+
+
 def test_found_row_evaluates_only_the_images_its_window_reads(monkeypatch):
     """(12, 1) finds c = 9 in window 4, which reads the images of X^0..X^3: the search
-    evaluates P at those and at the target's c = 0, not at all w + 1 = 25 values, in two
-    array calls (the target rides with the first batch, X^0 and X^1; then X^2 and X^3)."""
+    produces those and no others of the w = 24 images, in a feed of 2 (X^0, X^1) and
+    then one up to 4 (X^2, X^3), and evaluates P once, at the target's c = 0."""
     make_field(24)
-    evaluated, calls = set(), []
+    evaluated = []
 
     def spy(f, m, n, c, y):
-        evaluated.update(np.ravel(c).tolist())
-        calls.append(np.ravel(c).tolist())
+        evaluated.append(np.ravel(c).tolist())
         return eval_compat_poly(f, m, n, c, y)
 
     monkeypatch.setattr(compatibility, "eval_compat_poly", spy)
+    feeds, windows = _spy_on_search(monkeypatch)
     assert find_compatible_c(12, 1) == 9
-    assert 0 in evaluated
-    assert evaluated <= {0} | {1 << i for i in range((9).bit_length())}, sorted(evaluated)
-    assert calls == [[0, 1, 2], [4, 8]]
+    assert feeds == [(0, 2), (2, 4)]
+    assert windows == [2, 4]
+    assert evaluated == [[0]]
+
+
+@pytest.mark.parametrize("m, windows", [(1, [2]), (3, [2, 4, 6]), (6, [2, 4, 8, 12])])
+def test_windows_run_only_at_the_fed_sizes(monkeypatch, m, windows):
+    """An exhausted row (m, m) reads every window: k = 2, 4, 8, ..., w, one right after
+    each feed, and none between two feeds."""
+    feeds, seen = _spy_on_search(monkeypatch)
+    assert find_compatible_c(m, m) is None
+    assert seen == windows
+    assert feeds == list(zip([0] + windows[:-1], windows))
+
+
+@pytest.mark.parametrize("m, chunk", [(1, 40), (2, 40), (3, 40), (5, 40), (8, 40), (12, 1 << 14)])
+def test_images_by_recurrence_match_the_polynomial(monkeypatch, m, chunk):
+    """Each image the search feeds, X^i y^s + (X^i)^r y from the running products, is
+    eval_compat_poly(X^i) + eval_compat_poly(0) at its column, for every unity root and
+    i < w, with columns of several n (n >= 2m among them), fed one image at a time up to
+    m = 5 and in batches of doubling size above, in chunks of 40 values up to m = 8 and
+    of the search's own size at m = 12 (two or more chunks of its 8,194 columns per feed)."""
+    monkeypatch.setattr(compatibility, "_CHUNK_VALUES", chunk)
+    fed = []
+    images = compatibility._Cosets._images
+
+    def spy(self, part, k):
+        fed.append((self.n[part], self.y[part], self.fed, k, images(self, part, k)))
+        return fed[-1][-1]
+
+    monkeypatch.setattr(compatibility._Cosets, "_images", spy)
+    f = make_field(2 * m)
+    roots = np.array(roots_of_unity(f, (1 << m) + 1), dtype=np.int64)
+    ns = np.array([1, m, 2 * m, 2 * m + 3, 5 * m + 1] if m < 12 else [1, 2 * m + 1])
+    steps = range(1, f.w + 1) if m <= 5 else [k for k in (2, 4, 8, 16) if k < f.w] + [f.w]
+    cosets = compatibility._Cosets(f, m, np.repeat(ns, len(roots)), np.tile(roots, len(ns)))
+    for k in steps:
+        cosets.feed(k)
+    assert len(fed) >= len(steps) * -(-len(cosets.y) // chunk)
+    assert len(fed) > len(steps) or m == 1  # some feed spans several chunks
+    ops = f.array_ops
+    covered = np.zeros(f.w, dtype=np.int64)
+    for n, y, lo, hi, got in fed:
+        c = np.left_shift(1, np.arange(lo, hi))[:, None]
+        want = eval_compat_poly(ops, m, n, c, y) ^ eval_compat_poly(ops, m, n, 0, y)
+        assert np.array_equal(got, want), (lo, hi)
+        covered[lo:hi] += len(y)
+    assert (covered == len(cosets.y)).all()
+
+
+@pytest.mark.parametrize("w", range(1, 25))
+def test_insertion_order_elimination_matches_gf2_reduce(w):
+    """_join's residues, low part and tags, against the oracle's elimination by leading
+    bit, on tagged random images of which about a third are forced combinations of
+    earlier ones (zero among them), w + 4 per column: the same residues, and the joined
+    rows, each at its leading bit, are the oracle's basis."""
+    rng = np.random.default_rng(1000 + w)
+    count, columns, low = w + 4, 20, (1 << w) - 1
+    vectors = rng.integers(0, 1 << w, size=(count, columns))
+    for i in range(1, count):
+        forced = rng.random(columns) < 1 / 3
+        picks = rng.integers(0, 2, size=(i, columns))
+        vectors[i, forced] = np.bitwise_xor.reduce(vectors[:i] * picks, axis=0)[forced]
+    vectors |= np.left_shift(1, w + np.arange(count))[:, None]
+    joined = np.zeros((count, columns), dtype=np.int64)
+    pivots = np.zeros((count, columns), dtype=np.uint8)
+    ours = [compatibility._join(v, joined[: i + 1], pivots[: i + 1], low) for i, v in enumerate(vectors)]
+    basis = np.zeros((w, columns), dtype=np.int64)
+    theirs = list(oracle.gf2_reduce(vectors, basis))
+    assert np.array_equal(np.array(ours), np.array(theirs))
+    assert ((np.array(ours) & low) == 0).any() and (np.array(ours) & low).any()
+    for j in range(columns):
+        rows = joined[:, j][joined[:, j] != 0]
+        assert sorted(rows.tolist()) == sorted(basis[:, j][basis[:, j] != 0].tolist()), j
+        assert (pivots[:, j][joined[:, j] != 0] == [int(r & low).bit_length() - 1 for r in rows]).all()
 
 
 def test_search_exhausts_odd_ratio_rows_beyond_the_oracle():

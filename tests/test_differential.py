@@ -23,7 +23,7 @@ from apnforge.differential import (
     value_table,
 )
 from apnforge.compatibility import compatibility_predicate, find_compatible_c
-from apnforge.field import SizeLimitError, gf2_reduce, make_field
+from apnforge.field import SizeLimitError, make_field
 from apnforge.hexanomial import BCParams, default_d, eval_derivative_linear, eval_hexanomial
 
 
@@ -551,11 +551,11 @@ def test_plane_elimination_matches_gf2_reduce(m, n, c):
     assert np.array_equal(basis != 0, reference != 0)
     assert ((basis >> np.arange(w)[:, None] == 1) | (basis == 0)).all()
     for v in reference:
-        assert not next(gf2_reduce([v], basis.copy())).any()
+        assert not next(oracle.gf2_reduce([v], basis.copy())).any()
     vectors = np.random.default_rng(w).integers(0, p.field.size, size=(3, p.field.size))
     residues = bitplanes.pack(vectors, w)
     bitplanes.reduce(residues, basis_planes)
-    expected = [next(gf2_reduce([v], basis.copy())) for v in vectors]
+    expected = [next(oracle.gf2_reduce([v], basis.copy())) for v in vectors]
     assert np.array_equal(bitplanes.unpack(residues), expected)
 
 

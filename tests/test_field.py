@@ -13,7 +13,6 @@ from apnforge.field import (
     Field,
     FieldMismatchError,
     SizeLimitError,
-    gf2_reduce,
     is_irreducible,
     least_irreducible,
     make_field,
@@ -382,8 +381,8 @@ def test_oracle_exp_log_tables_consistent():
 
 @pytest.mark.parametrize("w", [8, 16, 24])
 def test_gf2_reduce_is_the_same_on_int32_and_int64(w):
-    """The rank routes eliminate in int32 rows, the c search in int64: seeded vectors of
-    rank about w/2 with tags above bit w (within bit 30) give the same bases and residues."""
+    """The oracle's elimination by leading bit in int32 and in int64 rows: seeded vectors
+    of rank about w/2 with tags above bit w (within bit 30) give the same bases and residues."""
     rng = np.random.default_rng(w)
     gens = rng.integers(0, 1 << w, size=(w // 2, 300))
     picks = rng.integers(0, 2, size=(w + 6, w // 2, 1))
@@ -392,7 +391,7 @@ def test_gf2_reduce_is_the_same_on_int32_and_int64(w):
     runs = []
     for dtype in (np.int32, np.int64):
         basis = np.zeros((w, 300), dtype=dtype)
-        residues = list(gf2_reduce(vectors.astype(dtype), basis))
+        residues = list(oracle.gf2_reduce(vectors.astype(dtype), basis))
         runs.append((basis.astype(np.int64), np.array(residues, dtype=np.int64)))
     (basis32, res32), (basis64, res64) = runs
     assert np.array_equal(basis32, basis64) and np.array_equal(res32, res64)
