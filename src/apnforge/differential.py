@@ -12,11 +12,14 @@ agree image by image:
 
 * the kernel route builds their planes from the w^2 values B(X^j, X^i) of
   the linearized form in :mod:`apnforge.hexanomial`, whose coefficients
-  the spot check holds to the definition of D_a on seeded (a, x) pairs;
-  it never reads F's table;
+  the spot check holds to the definition of D_a on seeded (a, x) pairs,
+  reading F off the table once the table is certified; the route itself
+  never reads F's table;
 * the definition route reads them off a table of F (its formula on the
   field's array view), packed into planes, once the scalar F has matched
-  the table at every x of weight <= 2, the points that fix a quadratic map.
+  the table at every x of weight <= 2, the points that fix a quadratic map
+  (evaluated in one call, the scalar Field's shift-and-reduce on an int64
+  array of the 1 + w(w+1)/2 points).
 
 The kernel route's images are linear in a, so their agreement at every
 shift makes every derivative of the table affine: that is the certificate
@@ -106,20 +109,22 @@ def check_degree(what: str, w: int, degree_cap: int) -> None:
         raise SizeLimitError(f"{what} for w={w} exceeds cap {degree_cap}")
 
 
-def _check_table(p: BCParams, planes: np.ndarray) -> np.ndarray:
-    """The planes of D_a(0) = F(a) + F(0) at every shift a, read off F's value table once
-    the table has equalled the scalar F at every x of weight <= 2 and given
+def _check_table(p: BCParams, ftab: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """The planes of D_a(0) = F(a) + F(0) at every shift a, read off F's value table ftab
+    once it has equalled the scalar F at every x of weight <= 2 and given
     F(a + X^i) + F(a) + F(X^i) + F(0) = planes[i] at every shift a and basis index i;
-    else CrossCheckError at the least bad a.  The images are linear in a, so agreement
-    makes every D_{X^i} of the table affine: it is quadratic, with the linearized
-    bilinear form.  A quadratic map is fixed by its values at weight <= 2, so the table
-    is the scalar F everywhere; the scalar Field multiplies by shift-and-reduce, the
-    table's array view by gathers, so the loop holds one arithmetic to the other."""
+    else CrossCheckError at the first bad x (0, then X^i + X^j for i <= j in order) or
+    the least bad a.  The images are linear in a, so agreement makes every D_{X^i} of the
+    table affine: it is quadratic, with the linearized bilinear form.  A quadratic map is
+    fixed by its values at weight <= 2, so the table is the scalar F everywhere.  The
+    scalar Field evaluates F at those 1 + w(w+1)/2 points in one call, by shift-and-reduce
+    on an int64 array; the table's array view multiplies by gathers, so the comparison
+    holds one arithmetic to the other."""
     w = p.field.w
-    ftab = value_table(p)
-    for x in [0] + [1 << i | 1 << j for i in range(w) for j in range(i, w)]:
-        if int(ftab[x]) != eval_hexanomial(p, x):
-            raise CrossCheckError(f"value table disagrees with F at x={x:#x}")
+    xs = np.array([0] + [1 << i | 1 << j for i in range(w) for j in range(i, w)])
+    bad = np.flatnonzero(ftab[xs] != eval_hexanomial(p, xs))
+    if bad.size:
+        raise CrossCheckError(f"value table disagrees with F at x={int(xs[bad[0]]):#x}")
     table = bitplanes.pack(ftab, w)
     offsets = table ^ bitplanes.constant(ftab[0], w)
     corners = bitplanes.constant(ftab[1 << np.arange(w)], w)  # F(X^i) at every shift
@@ -143,11 +148,20 @@ def _check_table(p: BCParams, planes: np.ndarray) -> np.ndarray:
 def derivative_spectrum(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP) -> DerivativeSpectrum:
     """The spectrum of every a != 0 from the kernel route's planes of B(a, X^i), once F's
     value table has given the same image at every shift (:func:`_check_table`)."""
+    return _spectrum(p, degree_cap, lambda ftab: None)[0]
+
+
+def _spectrum(p: BCParams, degree_cap: int, read_table) -> tuple[DerivativeSpectrum, object]:
+    """(:func:`derivative_spectrum`, read_table(F's value table)): read_table runs once the
+    table is certified, and the table is freed before the elimination."""
     check_degree("spectrum", p.field.w, degree_cap)
     planes = bilinear_planes(p)
-    offsets = _check_table(p, planes)  # its table is freed before the elimination
+    ftab = value_table(p)
+    offsets = _check_table(p, ftab, planes)
+    read = read_table(ftab)
+    del ftab
     basis = bitplanes.echelon(planes)
-    return DerivativeSpectrum(_kernels(basis), basis, offsets)
+    return DerivativeSpectrum(_kernels(basis), basis, offsets), read
 
 
 def _kernels(basis: np.ndarray) -> np.ndarray:
@@ -201,16 +215,17 @@ def cross_check_spectrum(p: BCParams, spec: DerivativeSpectrum) -> None:
         )
 
 
-def _spot_check(p: BCParams, seed: int) -> dict:
-    """Seeded (a, x) samples on which the defining and linearized forms of D_a must agree,
-    reduced from 32-bit words of one draw (a bias below 2^-8)."""
+def _spot_check(p: BCParams, seed: int, ftab: np.ndarray) -> dict:
+    """Seeded (a, x) samples on which the defining form of D_a, reading F off its certified
+    value table ftab, and the linearized form must agree, reduced from 32-bit words of one
+    draw (a bias below 2^-8)."""
     size = p.field.size
     bits = random.Random(seed).getrandbits(64 * SPOT_CHECK_SAMPLES)
     words = np.frombuffer(bits.to_bytes(8 * SPOT_CHECK_SAMPLES, "little"), dtype="<u4")
     a, x = words.astype(np.int64).reshape(-1, 2).T
     a, x = a % (size - 1) + 1, x % size
     ops = p.field.array_ops
-    defining = hexanomial.derivative_form(ops, p, a, x)
+    defining = hexanomial.derivative_form(ops, p, a, x, ftab)
     collapsed = hexanomial.collapsed_form(ops, p, hexanomial.collapsed_coeffs(ops, p, a), x)
     bad = np.flatnonzero(defining != collapsed)
     if bad.size:
@@ -231,11 +246,13 @@ def verify_instance(
     0.6-1.0 s with a 145 MiB peak, in-process runs on a 2-core Xeon);
     raising it waits on chunked routes and a predicted-memory check.  The
     routes' images are compared at every shift and ranked once, and the spot
-    check runs; any failed certificate or disagreement raises
+    check reads F off the value table once the table is certified, before it
+    is freed for the elimination; any failed certificate or disagreement raises
     :class:`CrossCheckError` instead of a verdict.  No report is built.
     """
-    spec = derivative_spectrum(p, min(degree_cap, SPECTRUM_DEGREE_CAP))
-    return spec, _spot_check(p, seed)
+    return _spectrum(
+        p, min(degree_cap, SPECTRUM_DEGREE_CAP), lambda ftab: _spot_check(p, seed, ftab)
+    )
 
 
 def is_t_to_one(p: BCParams, t: int) -> bool:

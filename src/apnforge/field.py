@@ -16,17 +16,21 @@ output.
 
 This module is the one home of F_{2^w} arithmetic (up to the cap of
 :func:`make_field`, 24), and it has two arithmetics that are held to
-each other.  The scalar :class:`Field` works on Python ints by
-shift-and-reduce, and applies a Frobenius power x -> x^(2^t) as the XOR
-of the images (X^j)^(2^t) over the bits of x.  Its array view
+each other.  The scalar :class:`Field` works by shift-and-reduce, on
+Python ints or elementwise on int64 arrays (each step a multiply by one
+bit, never a branch), and applies a Frobenius power x -> x^(2^t) as the
+XOR of the images (X^j)^(2^t) over the bits of x.  Its array view
 ``Field.array_ops`` works unchecked and elementwise on int arrays, with
 int32 results, by gathers from tables of 256 entries per operand byte:
 every Frobenius power and every multiplication by a fixed element is an
 F_2-linear map compiled into such tables once, and a general product
 XORs byte-pair carryless products from one table shared by all fields,
 then reduces its high bits by one more linear map.
-:func:`roots_of_unity` takes its powers in one array multiply.  Field
-objects are immutable after construction and safe to share.
+:func:`roots_of_unity` takes its powers in one array multiply from a
+root of order n, without a generator of the whole group (which
+``Field.generator`` finds on first use).  Field objects are immutable
+after construction, apart from what they build on first use, and safe
+to share.
 """
 
 from __future__ import annotations
@@ -118,7 +122,9 @@ def _prime_factors(n: int) -> list[int]:
 
 
 class Field:
-    """F_{2^w} = F_2[X] / (modulus), elements as width-w bit vectors."""
+    """F_{2^w} = F_2[X] / (modulus), elements as width-w bit vectors: shift-and-reduce on
+    Python ints, or elementwise on int64 arrays (:meth:`check`, :meth:`mul`,
+    :meth:`times` and :meth:`frobenius`; :meth:`pow` and :meth:`inv` take ints)."""
 
     def __init__(self, w: int, modulus: int | None = None):
         if w < 1:
@@ -141,7 +147,6 @@ class Field:
         self._frob = [[1 << j for j in range(w)]]
         for _ in range(w - 1):
             self._frob.append([_square_mod(v, modulus) for v in self._frob[-1]])
-        self.generator = self._find_generator()
 
     @functools.cached_property
     def array_ops(self) -> _ArrayOps:
@@ -150,34 +155,34 @@ class Field:
             raise SizeLimitError(f"array arithmetic for w={self.w} exceeds 31")
         return _ArrayOps(self.w, self.modulus, self._frob)
 
-    # -- construction helpers ------------------------------------------------
-
-    def _find_generator(self) -> int:
-        primes = _prime_factors(self.order) if self.order > 1 else []
-        for g in range(1, self.size):
-            if all(self.pow(g, self.order // p) != 1 for p in primes):
-                return g
-        raise AssertionError("multiplicative group of a finite field is cyclic")
+    @functools.cached_property
+    def generator(self) -> int:
+        """The least element of multiplicative order 2^w - 1, found on first use."""
+        return _least_of_order(self, self.order)
 
     # -- arithmetic ----------------------------------------------------------
 
-    def check(self, x: int) -> int:
-        """Validate x as an element of this field; returns x."""
-        if not 0 <= x < self.size:
+    def check(self, x):
+        """Validate x, an int or an int64 array, as element(s) of this field; returns x."""
+        if type(x) is not int and isinstance(x, np.ndarray):  # ints first: isinstance is slower
+            bad = x[(x < 0) | (x >= self.size)]
+            if bad.size:
+                raise FieldMismatchError(f"{int(bad[0]):#x} is not an element of F_2^{self.w}")
+        elif not 0 <= x < self.size:
             raise FieldMismatchError(f"{x:#x} is not an element of F_2^{self.w}")
         return x
 
-    def mul(self, x: int, y: int) -> int:
-        """x y by shift-and-reduce, one step per bit of y."""
+    def mul(self, x, y):
+        """x y by shift-and-reduce, elementwise on operands that broadcast against each
+        other: one step per bit of an int y (at least one, so an array x times 0 is an
+        array), w steps for an array y."""
+        top, modulus = self.w - 1, self.modulus
         self.check(x)
         acc = 0
-        for _ in range(self.check(y).bit_length()):
-            if y & 1:
-                acc ^= x
-            y >>= 1
-            x <<= 1
-            if x >> self.w:
-                x ^= self.modulus
+        for _ in range((y.bit_length() or 1) if type(self.check(y)) is int else self.w):
+            acc ^= x * (y & 1)
+            y = y >> 1  # not >>=, which would write into an array operand
+            x = x << 1 ^ modulus * (x >> top)  # x X, reduced when bit w - 1 moves up to w
         return acc
 
     def times(self, k: int):
@@ -205,14 +210,13 @@ class Field:
             e >>= 1
         return r
 
-    def frobenius(self, x: int, t: int = 1) -> int:
-        """t-fold Frobenius x -> x^(2^t), for any int t: the XOR of the images
-        (X^j)^(2^t) over the set bits j of x."""
+    def frobenius(self, x, t: int = 1):
+        """t-fold Frobenius x -> x^(2^t), for any int t and elementwise on an array x: the
+        XOR of the images (X^j)^(2^t) over the set bits j of x."""
         self.check(x)
         out = 0
         for j, image in enumerate(self._frob[t % self.w]):
-            if x >> j & 1:
-                out ^= image
+            out ^= image * (x >> j & 1)
         return out
 
     def in_subfield(self, x: int, d: int) -> bool:
@@ -286,12 +290,12 @@ class _ArrayOps:
         return _linear(self._frob, x, t % self._w)
 
 
-def _byte_tables(maps: list[list[int]], dtype=np.int32) -> np.ndarray:
-    """(maps, ceil(n/8), 256) byte tables of F_2-linear maps, each given by its n basis
-    images: tables[i, b, v] is the XOR of maps[i][8b + k] over the set bits k of v, built
-    in place by one doubling per bit."""
-    images = np.array([m + [0] * (-len(m) % 8) for m in maps], dtype=dtype).reshape(len(maps), -1, 8)
-    tables = np.zeros((*images.shape[:2], 256), dtype=dtype)
+def _byte_tables(maps: list[list[int]]) -> np.ndarray:
+    """(maps, ceil(n/8), 256) int32 byte tables of F_2-linear maps, each given by its n
+    basis images: tables[i, b, v] is the XOR of maps[i][8b + k] over the set bits k of v,
+    built in place by one doubling per bit."""
+    images = np.array([m + [0] * (-len(m) % 8) for m in maps], dtype=np.int32).reshape(len(maps), -1, 8)
+    tables = np.zeros((*images.shape[:2], 256), dtype=np.int32)
     for k in range(8):
         np.bitwise_xor(tables[..., : 1 << k], images[..., k, None], out=tables[..., 1 << k : 2 << k])
     return tables
@@ -299,9 +303,13 @@ def _byte_tables(maps: list[list[int]], dtype=np.int32) -> np.ndarray:
 
 @functools.cache
 def _clmul_table() -> np.ndarray:
-    """table[u << 8 | v] = the carryless product of bytes u and v (15 bits), uint16, 128 KiB:
-    the byte table of v -> u v for each u, one for every field, built on first use."""
-    table = _byte_tables([[u << k for k in range(8)] for u in range(256)], np.uint16).ravel()
+    """table[u << 8 | v] = the carryless product of bytes u and v (15 bits), uint16, 128 KiB,
+    one for every field, built on first use: u X^k XORed in wherever bit k of v is set."""
+    u, v = np.arange(256, dtype=np.uint16)[:, None], np.arange(256, dtype=np.uint16)
+    table = np.zeros((256, 256), dtype=np.uint16)
+    for k in range(8):
+        table ^= (u << k) * (v >> k & 1)
+    table = table.ravel()
     table.setflags(write=False)
     return table
 
@@ -355,7 +363,7 @@ def roots_of_unity_array(field: Field, n: int) -> np.ndarray:
     """:func:`roots_of_unity` as an ascending int64 array."""
     if n < 1 or field.order % n:
         raise ValueError(f"{n} does not divide multiplicative order {field.order}")
-    h = field.pow(field.generator, field.order // n)
+    h = _least_of_order(field, n)
     # h^(side j + i) = (h^side)^j h^i: side^2 >= n powers from 2 side scalar steps and
     # one array multiply, whose (side, 1) x (side,) product is in exponent order
     side = math.isqrt(n - 1) + 1
@@ -363,5 +371,17 @@ def roots_of_unity_array(field: Field, n: int) -> np.ndarray:
     giant = list(itertools.accumulate([baby[side]] * (side - 1), field.mul, initial=1))
     powers = field.array_ops.mul(np.array(giant)[:, None], np.array(baby[:side]))
     roots = np.sort(powers.ravel()[:n]).astype(np.int64)
-    assert (roots[1:] > roots[:-1]).all(), "generator must have full multiplicative order"
+    assert (roots[1:] > roots[:-1]).all(), "h must have multiplicative order n"
     return roots
+
+
+def _least_of_order(field: Field, n: int) -> int:
+    """The element z^((2^w - 1)/n) of the least z for which it has order exactly n
+    (n | 2^w - 1): for a generator z it has, so some z < 2^w does.  Its order divides n,
+    and is n unless its (n/q)-th power is 1 for some prime q | n."""
+    primes = _prime_factors(n)
+    for z in range(1, field.size):
+        h = field.pow(z, field.order // n)
+        if all(field.pow(h, n // q) != 1 for q in primes):
+            return h
+    raise AssertionError("multiplicative group of a finite field is cyclic")

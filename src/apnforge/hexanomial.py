@@ -19,9 +19,11 @@ D_a is F_{2^k}-linear and its nonzero fibers are cosets of its kernel
 -- the fact that makes exhaustive derivative verification cheap.
 
 F (:func:`hexanomial_form`), D_a from the definition
-(:func:`derivative_form`), the coefficients of B and D_a and the sum
-they weight (:func:`collapsed_form`) are each written once, generic over
-field ops: the scalar :class:`Field` (:func:`eval_hexanomial`,
+(:func:`derivative_form`, which can read F's values off a value table
+instead), the coefficients of B and D_a and the sum they weight
+(:func:`collapsed_form`) are each written once, generic over field ops:
+the scalar :class:`Field` on ints or int64 arrays (:func:`eval_hexanomial`,
+which the value table's check calls once on every point of weight <= 2,
 :func:`eval_derivative`, :func:`eval_derivative_linear`, whose
 coefficients are cached) or its array view ``field.array_ops`` (the
 value table, the kernel route's w^2 values of B and the spot check in
@@ -152,15 +154,18 @@ def hexanomial_form(f, p: BCParams, x):
     return f.mul(x, xs ^ xr ^ c(xrs)) ^ f.mul(xs, cr(xr) ^ d(xrs)) ^ f.mul(xrs, xr)
 
 
-def eval_hexanomial(p: BCParams, x: int) -> int:
-    """F(x) in the scalar field."""
+def eval_hexanomial(p: BCParams, x):
+    """F(x) in the scalar field, x an int or elementwise an int64 array."""
     return hexanomial_form(p.field, p, x)
 
 
-def derivative_form(f, p: BCParams, a, x):
-    """D_a(x) = F(ax) + F(ax + a) + F(a) straight from the definition, under field ops f."""
+def derivative_form(f, p: BCParams, a, x, table=None):
+    """D_a(x) = F(ax) + F(ax + a) + F(a) straight from the definition, under field ops f,
+    with F's values from :func:`hexanomial_form`, or read off ``table`` (F at every
+    element, in canonical order) when one is given."""
     ax = f.mul(a, x)
-    return hexanomial_form(f, p, ax) ^ hexanomial_form(f, p, ax ^ a) ^ hexanomial_form(f, p, a)
+    F = functools.partial(hexanomial_form, f, p) if table is None else table.take
+    return F(ax) ^ F(ax ^ a) ^ F(a)
 
 
 def eval_derivative(p: BCParams, a: int, x: int) -> int:

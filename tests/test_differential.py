@@ -23,7 +23,7 @@ from apnforge.differential import (
     value_table,
 )
 from apnforge.compatibility import compatibility_predicate, find_compatible_c
-from apnforge.field import SizeLimitError, make_field
+from apnforge.field import Field, SizeLimitError, make_field
 from apnforge.hexanomial import BCParams, default_d, eval_derivative_linear, eval_hexanomial
 
 
@@ -205,7 +205,8 @@ def test_kernel_route_never_reads_the_value_table(monkeypatch):
 def test_array_ops_match_field_ops():
     """The array view's gathers against two independent arithmetics: every pair at w <= 8
     against the oracle's exp/log tables; at every w from 1 to 24, seeded samples against
-    the big-int oracle and the scalar Field, which multiplies by shift-and-reduce; and
+    the big-int oracle and the scalar Field, which multiplies by shift-and-reduce (on the
+    samples' int64 arrays in one call); and
     2000 seeded samples at w = 16 (tables), 18 and 24 (big-int).  The samples cover the
     byte-pair multiply and times(k) on equal shapes, on the c search's (k, 1) x (n,)
     broadcast, with a Python int on either side, and on non-contiguous views
@@ -230,7 +231,7 @@ def test_array_ops_match_field_ops():
         xs, ys = ([0, 1, f.size - 1] + [rng.randrange(f.size) for _ in range(125)] for _ in "xy")
         x, y, k = np.array(xs), np.array(ys), ys[3]
         products = [mul(u, v) for u, v in zip(xs, ys)]
-        assert ops.mul(x, y).tolist() == products == [f.mul(u, v) for u, v in zip(xs, ys)], w
+        assert ops.mul(x, y).tolist() == products == f.mul(x, y).tolist(), w
         assert ops.mul(x[:8, None], y).tolist() == [[mul(u, v) for v in ys] for u in xs[:8]], w
         by_k = [mul(k, u) for u in xs]
         assert ops.mul(k, x).tolist() == ops.mul(x, k).tolist() == ops.times(k)(x).tolist() == by_k
@@ -339,6 +340,51 @@ def test_definition_route_refuses_a_non_quadratic_table(monkeypatch):
         is_apn(p)
 
 
+@pytest.mark.parametrize("bad, named", [((0x28,), 0x28), ((0x28, 0x81), 0x81)])
+def test_table_off_by_one_bit_at_weight_2_names_the_point(monkeypatch, bad, named):
+    """The weight <= 2 check, one call on all 37 points at w = 8, names the first bad x in
+    the order 0, then X^i + X^j for i <= j: X^0 + X^7 = 0x81 comes before X^3 + X^5."""
+    p = params(4, 1, 3)
+    orig = differential.value_table
+
+    def off_by_one_bit(p):
+        table = orig(p)
+        table[list(bad)] ^= 1 << 5
+        return table
+
+    monkeypatch.setattr(differential, "value_table", off_by_one_bit)
+    with pytest.raises(CrossCheckError, match=f"value table disagrees with F at x={named:#x}$"):
+        derivative_spectrum(p)
+
+
+def test_weight_2_check_never_reads_the_array_view(monkeypatch):
+    """The scalar side of the weight <= 2 check is the scalar Field alone: on a field whose
+    array view is never built, the check still certifies the table."""
+    p = params(4, 1, 3)
+    ftab, planes = value_table(p), differential.bilinear_planes(p)
+    offsets = derivative_spectrum(p).offsets
+    monkeypatch.setattr(Field, "array_ops", property(lambda f: pytest.fail("read the array view")))
+    q = dataclasses.replace(p, field=Field(8))
+    assert np.array_equal(differential._check_table(q, ftab, planes), offsets)
+
+
+def test_spot_check_reads_the_same_derivatives_off_the_table(monkeypatch):
+    """On the spot check's 1000 samples at every w = 2..14, D_a with F read off the
+    certified value table equals D_a from F's formula on the array view."""
+    orig, checked = hexanomial.derivative_form, []
+
+    def both(f, p, a, x, table=None):
+        out = orig(f, p, a, x, table)
+        assert table is not None and np.array_equal(out, orig(f, p, a, x))
+        checked.append((p.field.w, len(a)))
+        return out
+
+    monkeypatch.setattr(hexanomial, "derivative_form", both)
+    for m in range(1, 8):
+        differential.verify_instance(params(m, 1, 3), seed=m)
+    assert checked == [(2 * m, differential.SPOT_CHECK_SAMPLES) for m in range(1, 8)]
+
+
 def test_definition_route_refuses_a_table_off_by_an_affine_map(monkeypatch):
     """F(x) + x is still quadratic; only the weight <= 2 points tie the table to F."""
     p = params(2, 1, 9)
@@ -410,7 +456,7 @@ def test_is_apn_runs_the_spot_check(monkeypatch):
     words = np.frombuffer(random.Random(0).getrandbits(64000).to_bytes(8000, "little"), "<u4")
     samples = [(int(a) % 15 + 1, int(x) % 16) for a, x in words.reshape(-1, 2)]
     a, x = next((a, x) for a, x in samples if eval_derivative_linear(APN_21, a, x) != x ^ 1)
-    monkeypatch.setattr(hexanomial, "derivative_form", lambda f, p, a, x: x ^ 1)
+    monkeypatch.setattr(hexanomial, "derivative_form", lambda f, p, a, x, table=None: x ^ 1)
     with pytest.raises(CrossCheckError, match=f"forms disagree at a={a:#x}, x={x:#x}$"):
         is_apn(APN_21)
 

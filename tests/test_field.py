@@ -85,6 +85,18 @@ def test_field_build_does_not_divide_its_modulus_again(monkeypatch):
     assert divided == []
 
 
+def test_unity_roots_factor_only_their_order(monkeypatch):
+    """Building F_{2^24} factors nothing, and its 4097-th roots of unity factor 4097 =
+    17 * 241, never 2^24 - 1: they need no generator, which is found on first use."""
+    factored = []
+    factor = field_module._prime_factors
+    monkeypatch.setattr(field_module, "_prime_factors", lambda n: factored.append(n) or factor(n))
+    f = Field(24)
+    roots = roots_of_unity(f, 4097)
+    assert factored == [4097] and "generator" not in vars(f)
+    assert len(roots) == 4097 and all(f.pow(z, 4097) == 1 for z in roots[::64])
+
+
 def test_f16_single_reduction_example():
     f = make_field(4)
     assert f.mul(2, 8) == 3  # X * X^3 = X^4 = X + 1 mod X^4+X+1
@@ -123,6 +135,33 @@ def test_scalar_frobenius_is_an_int_matching_the_oracle_at_every_degree():
             for t in range(w + 1):
                 y = f.frobenius(x, t)
                 assert type(y) is int and y == oracle.gfpow(x, 1 << t, f.modulus), (w, x, t)
+
+
+def test_scalar_field_on_int64_arrays_is_its_arithmetic_on_ints():
+    """The scalar Field's shift-and-reduce, elementwise on int64 arrays, equals it on ints
+    and the big-int oracle at every w from 1 to the cap: an array on either side of mul
+    (an int factor 0 included), the (k, 1) x (n,) broadcast, times(k) and every
+    Frobenius power."""
+    rng = random.Random(24)
+    for w in range(1, 25):
+        f = make_field(w)
+        xs, ys = ([0, 1, f.size - 1] + [rng.randrange(f.size) for _ in range(29)] for _ in "xy")
+        x, y = np.array(xs), np.array(ys)
+        products = [f.mul(u, v) for u, v in zip(xs, ys)]
+        assert products == [oracle.gfmul(u, v, f.modulus) for u, v in zip(xs, ys)], w
+        assert f.mul(x, y).dtype == np.int64 and f.mul(x, y).tolist() == products, w
+        assert f.mul(x[:6, None], y).tolist() == [[f.mul(u, v) for v in ys] for u in xs[:6]]
+        for k in (0, 1, ys[3]):
+            by_k = [f.mul(k, u) for u in xs]
+            assert f.mul(x, k).tolist() == f.mul(k, x).tolist() == f.times(k)(x).tolist() == by_k
+        for t in range(w + 1):
+            assert f.frobenius(x, t).tolist() == [f.frobenius(u, t) for u in xs], (w, t)
+
+
+def test_clmul_table_holds_every_carryless_byte_product():
+    table = field_module._clmul_table()
+    assert table.dtype == np.uint16 and not table.flags.writeable
+    assert table.tolist() == [oracle.clmul(u, v) for u in range(256) for v in range(256)]
 
 
 def test_field_axioms_exhaustive_small():
@@ -306,6 +345,11 @@ def test_field_mismatch_is_detected():
             f4.mul(bad, 1)
         with pytest.raises(FieldMismatchError):
             f4.frobenius(bad, 1)
+        with pytest.raises(FieldMismatchError, match=f"^{bad:#x} is not an element"):
+            f4.check(np.array([0, 3, bad, 1, 5]))
+        with pytest.raises(FieldMismatchError):
+            f4.mul(1, np.array([2, bad]))
+    assert f4.check(np.array([0, 3, 2])).tolist() == [0, 3, 2]
 
 
 def test_make_field_returns_cached_instance():
