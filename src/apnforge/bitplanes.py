@@ -1,6 +1,8 @@
 """w-bit vectors at every shift a < 2^w as uint64 bit-planes: bit l of word h
 of plane b is bit b of the vector at shift 64h + l (one word, its high bits 0,
-below w = 6), so one numpy operation acts on 64 shifts per word.
+below w = 6), so one numpy operation acts on 64 shifts per word.  Packing,
+unpacking and ranking take the number of shifts from the last axis, so they act
+on a block of words as on the whole range: w is the bit count only.
 """
 
 from __future__ import annotations
@@ -27,10 +29,17 @@ def constant(values, w: int) -> np.ndarray:
     return bits.astype(np.uint64) * valid(w)
 
 
+def _shifts(words: int, w: int) -> int:
+    """The shifts that `words` words hold: 64 each, or the 2^w of one partly filled word."""
+    return min(words << 6, 1 << w)
+
+
 def pack(values, w: int) -> np.ndarray:
-    """The (..., w, words) planes of values (..., n) below 2^w, n <= 2^w (later words 0)."""
+    """The (..., w, words) planes of values (..., n) below 2^w, n <= 2^w: ceil(n / 64)
+    words, at least one, the bits past shift n - 1 0."""
     values = np.ascontiguousarray(values, dtype="<u4")
-    planes = np.zeros((*values.shape[:-1], w, max(8, (1 << w) >> 3)), dtype=np.uint8)
+    words = max(1, -(-values.shape[-1] // 64))
+    planes = np.zeros((*values.shape[:-1], w, 8 * words), dtype=np.uint8)
     columns = np.moveaxis(values[..., None].view(np.uint8), -1, 0)[: (w + 7) // 8]
     columns = np.ascontiguousarray(columns)  # columns[k]: byte k of every value
     for b in range(w):
@@ -40,12 +49,12 @@ def pack(values, w: int) -> np.ndarray:
 
 
 def unpack(planes: np.ndarray, dtype=np.int32) -> np.ndarray:
-    """The (..., 2^w) values of (..., w, words) planes: the inverse of :func:`pack`."""
-    w = planes.shape[-2]
-    values = np.zeros((*planes.shape[:-2], 1 << w), dtype=dtype)
-    for b in range(w):  # one plane at a time: no (..., w, 2^w) temporary
+    """The (..., shifts) values of (..., w, words) planes: the inverse of :func:`pack`."""
+    w, count = planes.shape[-2], _shifts(planes.shape[-1], planes.shape[-2])
+    values = np.zeros((*planes.shape[:-2], count), dtype=dtype)
+    for b in range(w):  # one plane at a time: no (..., w, shifts) temporary
         bits = np.unpackbits(
-            np.ascontiguousarray(planes[..., b, :]).view(np.uint8), axis=-1, count=1 << w,
+            np.ascontiguousarray(planes[..., b, :]).view(np.uint8), axis=-1, count=count,
             bitorder="little",
         )
         values |= np.left_shift(bits, b, dtype=dtype)
@@ -83,11 +92,11 @@ def echelon(vectors: np.ndarray) -> np.ndarray:
 
 
 def ranks(basis: np.ndarray) -> np.ndarray:
-    """The rank at every shift, uint8: its number of pivots."""
-    w = len(basis)
-    rank = np.zeros(1 << w, dtype=np.uint8)
+    """The rank at every shift of the basis's words, uint8: its number of pivots."""
+    w, count = len(basis), _shifts(basis.shape[-1], len(basis))
+    rank = np.zeros(count, dtype=np.uint8)
     for b in range(w):
-        rank += np.unpackbits(basis[b, b].view(np.uint8), count=1 << w, bitorder="little")
+        rank += np.unpackbits(basis[b, b].view(np.uint8), count=count, bitorder="little")
     return rank
 
 

@@ -27,11 +27,11 @@ Three views of the same question live here and check each other:
   witnesses inside F_r union mu_{r+1} (:func:`witnesses`).
 
 The polynomial is written once (:func:`eval_compat_poly`), generic over
-field ops: the search evaluates it at c = 0 for its target and takes the
-images of X^0, X^1, ... by recurrence from running products,
-:func:`is_compatible_c` evaluates it at one c, on the field's array view,
-the witness report on the scalar field.  Everything is deterministic; a
-sweep re-run must be byte-identical.
+field ops: :func:`is_compatible_c` evaluates it at one c, on the field's
+array view, the witness report on the scalar field.  The search needs only
+its value at c = 0, y^(s+1) + 1, one multiply from the y^s it holds anyway,
+and takes the images of X^0, X^1, ... by recurrence from running products.
+Everything is deterministic; a sweep re-run must be byte-identical.
 """
 
 from __future__ import annotations
@@ -96,13 +96,13 @@ class _Cosets:
     Image i joins the elimination tagged by bit w + i (:func:`_join`), so a
     dependent image's residue tags a kernel element whose leading bit is its own
     index: kernel[i] (0 where there is none) is an echelon basis.  The target
-    P(0, y), evaluated at the first feed, is reduced by each new residue as it
-    joins (one step: the residue is 0 at every earlier pivot), so its tags come
-    from independent images only and are 0 at every leading bit of the kernel
-    basis: once its low part is 0 they are the coset's least element
-    (:meth:`least`).  Below 2^fed that element and the kernel rows with leading
-    bit < fed are those of the full elimination, however many images are still
-    to come.
+    P(0, y) = y^(s+1) + 1, taken at the first feed from the y^s that starts the
+    running product, is reduced by each new residue as it joins (one step: the
+    residue is 0 at every earlier pivot), so its tags come from independent
+    images only and are 0 at every leading bit of the kernel basis: once its low
+    part is 0 they are the coset's least element (:meth:`least`).  Below 2^fed
+    that element and the kernel rows with leading bit < fed are those of the
+    full elimination, however many images are still to come.
     """
 
     def __init__(self, field: Field, m: int, n: np.ndarray, y: np.ndarray):
@@ -128,8 +128,9 @@ class _Cosets:
             target = self.target[part]
             if first:
                 ops, n, y = self.field.array_ops, self.n[part], self.y[part]
-                target[:] = eval_compat_poly(ops, self.m, n, 0, y)
-                self.ys[part], self.yr[part] = ops.frobenius(y, n), y
+                ys = ops.frobenius(y, n)
+                target[:] = ops.mul(ys, y) ^ 1  # P(0, y)
+                self.ys[part], self.yr[part] = ys, y
             for i, v in enumerate(self._images(part, k) | tags, self.fed):
                 r = _join(v, self.joined[: i + 1, part], self.pivots[: i + 1, part], low)
                 self.kernel[i, part] = np.where(r & low, 0, r >> w)

@@ -49,7 +49,7 @@ from .hexanomial import BCParams, eval_hexanomial
 
 SPECTRUM_DEGREE_CAP = 16
 DDT_DEGREE_CAP = 12
-_DDT_BLOCK_CELLS = 1 << 16  # cells per streamed block of DDT rows: 16 rows at w = 12
+_DDT_BLOCK_CELLS = 1 << 18  # cells per streamed block of DDT rows: 64 rows at w = 12
 SPOT_CHECK_SAMPLES = 1000
 
 
@@ -181,7 +181,8 @@ def bilinear_planes(p: BCParams) -> np.ndarray:
     low = np.zeros((w, min(64, 1 << w)), dtype=np.int64)
     for j, row in enumerate(tensor[:6]):  # row j: B(X^j, X^i) for each i
         np.bitwise_xor(low[:, : 1 << j], row[:, None], out=low[:, 1 << j : 2 << j])
-    planes = bitplanes.pack(low, w)
+    planes = np.empty((w, w, max(1, (1 << w) >> 6)), dtype=np.uint64)
+    planes[..., :1] = bitplanes.pack(low, w)  # word 0
     for j, row in enumerate(bitplanes.constant(tensor[6:], w)):
         np.bitwise_xor(planes[..., : 1 << j], row, out=planes[..., 1 << j : 2 << j])
     return planes
@@ -269,31 +270,37 @@ def is_apn(p: BCParams) -> bool:
 
 def _coset_masks(spec: DerivativeSpectrum):
     """(lo, on_coset) for DDT rows a ascending in blocks of ~_DDT_BLOCK_CELLS cells:
-    on_coset[a - lo, b] says b is in the coset D_a(0) + Im B(a, .), the support of row a.
-    L_a, the reduction by shift a's echelon basis, is F_2-linear with kernel Im B(a, .), so
-    L_a(b + D_a(0)) is built from L_a(D_a(0)) and the w residues L_a(X^i) by one doubling
-    per bit of b, and b is on the coset where it is 0.  Row 0's basis is empty and
-    D_0(0) = 0: its mask is b == 0.  The residues are taken now, so the spectrum may go;
-    the mask is scratch shared by every block, valid only until the next is requested."""
+    on_coset[a - lo, b] is 1 where b is in the coset D_a(0) + Im B(a, .), the support of
+    row a, and 0 elsewhere, '<u2'.  L_a, the reduction by shift a's echelon basis, is
+    F_2-linear with kernel Im B(a, .), so L_a(b + D_a(0)) is built from L_a(D_a(0)) and
+    the w residues L_a(X^i) by one doubling per bit of b, and b is on the coset where it
+    is 0.  Row 0's basis is empty and D_0(0) = 0: its mask is b == 0.  The residues are
+    taken now, so the spectrum may go; the mask is scratch shared by every block, valid
+    only until the next is requested, and the caller may write over it."""
     w, size = len(spec.basis), len(spec.kernels)
     vectors = np.empty((w + 1, *spec.offsets.shape), dtype=np.uint64)
     vectors[0] = spec.offsets  # D_a(0), then X^0..X^(w-1) at every shift
     vectors[1:] = bitplanes.constant(1 << np.arange(w), w)
     bitplanes.reduce(vectors, spec.basis)
-    residues = bitplanes.unpack(vectors, np.min_scalar_type(size - 1))
-    step = max(1, _DDT_BLOCK_CELLS // size)
+    residues = bitplanes.unpack(vectors, "<u2")  # w <= SPECTRUM_DEGREE_CAP = 16
+    # the first 2^h cells of every row, doubled once down whole columns: per block, those
+    # narrow doublings would cost a call each for a few cells a row
+    h = min(w, 4)
+    head = np.empty((1 << h, size), residues.dtype)
+    head[0] = residues[0]
+    for i, residue in enumerate(residues[1 : h + 1]):
+        np.bitwise_xor(head[: 1 << i], residue, out=head[1 << i : 2 << i])
     # scratch shared by every block: with fresh buffers the allocator can hand their pages
     # back and fault them in again block after block (about 53,000 faults at w = 12)
-    all_cells, all_on_coset = np.empty((step, size), residues.dtype), np.empty((step, size), bool)
+    all_cells = np.empty((max(1, _DDT_BLOCK_CELLS // size), size), residues.dtype)
 
     def masks():
-        for lo in range(0, size, step):
-            hi = min(lo + step, size)
-            cells, on_coset = all_cells[: hi - lo], all_on_coset[: hi - lo]
-            cells[:, 0] = residues[0, lo:hi]
-            for i, residue in enumerate(residues[1:, lo:hi, None]):
+        for lo in range(0, size, len(all_cells)):
+            cells = all_cells[: size - lo]
+            cells[:, : 1 << h] = head[:, lo : lo + len(cells)].T
+            for i, residue in enumerate(residues[h + 1 :, lo : lo + len(cells), None], h):
                 np.bitwise_xor(cells[:, : 1 << i], residue, out=cells[:, 1 << i : 2 << i])
-            yield lo, np.equal(cells, 0, out=on_coset)
+            yield lo, np.equal(cells, 0, out=cells, casting="unsafe")
 
     return masks()
 
@@ -309,12 +316,12 @@ def ddt_blocks(spec: DerivativeSpectrum):
 def ddt_csv_blocks(spec: DerivativeSpectrum):
     """The bytes of :func:`ddt_to_csv` for the DDT of spec, a block of rows at a time, each
     valid only until the next is requested.  Row 0 is its literal line "2^w,0,...,0".  A
-    block whose counts are all below 10 (every 2-, 4- and 8-to-one row) is written from
-    its mask in one pass: each cell is a little-endian '<u2' glyph, the digit and a comma,
-    and the last column's comma is a newline.  Other blocks take :func:`csv_block`."""
+    block whose counts are all below 10 (every 2-, 4- and 8-to-one row) is written over
+    its mask in place: the mask times the counts are the digits, and OR-ing in "0," makes
+    each cell a little-endian '<u2' glyph, the digit and a comma; the last column's comma
+    is a newline.  Other blocks take :func:`csv_block`."""
     kernels, masks = spec.kernels, _coset_masks(spec)
     size = len(kernels)
-    all_glyphs = np.empty((max(1, _DDT_BLOCK_CELLS // size), size), "<u2")
 
     def blocks():
         yield b"%d" % size + b",0" * (size - 1) + b"\n"
@@ -327,7 +334,7 @@ def ddt_csv_blocks(spec: DerivativeSpectrum):
             if rows.max() >= 10:
                 yield csv_block(mask * rows)
                 continue
-            glyphs = np.multiply(mask, rows.astype("<u2"), out=all_glyphs[: len(rows)])
+            glyphs = np.multiply(mask, rows.astype("<u2"), out=mask)
             glyphs |= ord("0") | ord(",") << 8
             text = glyphs.view(np.uint8)
             text[:, -1] = ord("\n")  # the high byte of the last cell: its comma

@@ -250,16 +250,29 @@ def test_verify_ddt_export_refuses_uncertified_images(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
-def test_ddt_export_holds_blocks_not_the_table(tmp_path, capsys):
-    """At w = 10 the whole int32 table alone would take 4 MiB; the stream stays below it."""
+def _ddt_export_peak(tmp_path, capsys, m, n):
+    """tracemalloc's peak over one verify --ddt-out run, which must succeed."""
     tracemalloc.start()
     try:
-        code, _, _ = run(capsys, "verify", "--m", "5", "--n", "2",
+        code, _, _ = run(capsys, "verify", "--m", m, "--n", n,
                          "--ddt-out", str(tmp_path / "ddt.csv"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == EXIT_OK
+    return peak
+
+
+def test_ddt_export_holds_blocks_not_the_table(tmp_path, capsys):
+    """At w = 10 the whole int32 table alone would take 4 MiB; the stream stays below it."""
+    peak = _ddt_export_peak(tmp_path, capsys, "5", "2")
+    assert peak < 4 << 20, peak
+
+
+def test_ddt_export_at_w12_holds_blocks_not_the_table(tmp_path, capsys):
+    """At w = 12 the int32 table would take 64 MiB and its CSV 32 MiB; the stream holds
+    a block of 2^18 cells at a time and stays below 4 MiB, as at w = 10."""
+    peak = _ddt_export_peak(tmp_path, capsys, "6", "1")
     assert peak < 4 << 20, peak
 
 

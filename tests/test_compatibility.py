@@ -326,7 +326,8 @@ def _spy_on_search(monkeypatch):
 def test_found_row_evaluates_only_the_images_its_window_reads(monkeypatch):
     """(12, 1) finds c = 9 in window 4, which reads the images of X^0..X^3: the search
     produces those and no others of the w = 24 images, in a feed of 2 (X^0, X^1) and
-    then one up to 4 (X^2, X^3), and evaluates P once, at the target's c = 0."""
+    then one up to 4 (X^2, X^3), and never evaluates P: its target P(0, y) comes from
+    the y^s of the running product."""
     make_field(24)
     evaluated = []
 
@@ -339,7 +340,32 @@ def test_found_row_evaluates_only_the_images_its_window_reads(monkeypatch):
     assert find_compatible_c(12, 1) == 9
     assert feeds == [(0, 2), (2, 4)]
     assert windows == [2, 4]
-    assert evaluated == [[0]]
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("m, ns, chunk", [(3, [2], 1 << 14), (4, [1, 3, 8, 11], 40)])
+def test_target_is_the_polynomial_at_c_zero(monkeypatch, m, ns, chunk):
+    """The target each column's first feed takes, y^(s+1) + 1 from y^s, is
+    eval_compat_poly at c = 0 with the column's n and y: on a one-n search and on a
+    sweep of several n in one elimination (n an array), fed in chunks of 40 values."""
+    monkeypatch.setattr(compatibility, "_CHUNK_VALUES", chunk)
+    targets = []
+    images = compatibility._Cosets._images
+
+    def spy(self, part, k):  # before the first image joins, the target is P(0, y) as taken
+        if not self.fed:
+            targets.append((self.field, self.n[part], self.y[part], self.target[part].copy()))
+        return images(self, part, k)
+
+    monkeypatch.setattr(compatibility._Cosets, "_images", spy)
+    if len(ns) == 1:
+        find_compatible_c(m, ns[0])
+    else:
+        sweep_reports([m], ns)
+    assert sum(len(y) for _, _, y, _ in targets) == len(ns) * ((1 << m) + 1)
+    assert len(targets) > 1 or len(ns) == 1  # the sweep spans several chunks
+    for f, n, y, target in targets:
+        assert np.array_equal(target, eval_compat_poly(f.array_ops, m, n, 0, y))
 
 
 @pytest.mark.parametrize("m, windows", [(1, [2]), (3, [2, 4, 6]), (6, [2, 4, 8, 12])])

@@ -242,8 +242,10 @@ def test_array_ops_match_field_ops():
         expected = swapped.ravel().tolist()
         assert ops.mul(swapped, y3).ravel().tolist() == [mul(u, v) for u, v in zip(expected, ys)]
         assert ops.times(k)(swapped).ravel().tolist() == [mul(k, u) for u in expected]
+        powers = expected  # x^(2^t), squared once per t
         for t in range(w + 1):
-            powers = [oracle.gfpow(u, 1 << t, f.modulus) for u in expected]
+            if t:
+                powers = [mul(u, u) for u in powers]
             assert ops.frobenius(swapped, t).ravel().tolist() == powers, (w, t)
     rng = np.random.default_rng(7)
     for w in (16, 18, 24):
@@ -251,13 +253,13 @@ def test_array_ops_match_field_ops():
         ops = f.array_ops
         xs, ys = rng.integers(0, f.size, size=(2, 2000))
         pairs = list(zip(xs.tolist(), ys.tolist()))
-        mul, frob = (oracle.TableOps(f).mul, oracle.TableOps(f).frobenius) if w == 16 else (
-            lambda x, y: oracle.gfmul(x, y, f.modulus),
-            lambda x, t: oracle.gfpow(x, 1 << t, f.modulus),
-        )
+        mul = oracle.TableOps(f).mul if w == 16 else lambda x, y: oracle.gfmul(x, y, f.modulus)
         assert ops.mul(xs, ys).tolist() == [mul(x, y) for x, y in pairs]
-        for t in (1, w // 2 + 1, w - 1):
-            assert ops.frobenius(xs, t).tolist() == [frob(x, t) for x in xs.tolist()]
+        powers = xs.tolist()  # x^(2^t), squared once per t
+        for t in range(1, w):
+            powers = [mul(x, x) for x in powers]
+            if t in (1, w // 2 + 1, w - 1):
+                assert ops.frobenius(xs, t).tolist() == powers, (w, t)
 
 
 def test_derivative_tables_agree_and_match_scalar():
@@ -650,6 +652,19 @@ def test_ddt_csv_stream_matches_the_csv_of_the_count_by_definition(
     assert chunks[0] == b"%d" % size + b",0" * (size - 1) + b"\n"
     if block_rows == 1:
         assert len(chunks) == size  # one line per block, none empty
+
+
+def test_ddt_csv_stream_at_w12_comes_in_blocks_of_the_budgeted_rows():
+    """At w = 12 a block is 2^18 cells, 64 rows and 512 KiB of CSV: row 0's line and the
+    63 rows after it make the first block, and every later block but the last has 64."""
+    p = params(6, 1, find_compatible_c(6, 1))
+    rows = differential._DDT_BLOCK_CELLS // p.field.size
+    assert rows == 64
+    chunks = differential.ddt_csv_blocks(derivative_spectrum(p))
+    lines = [bytes(chunk).count(b"\n") for chunk in chunks]
+    assert lines[:2] == [1, rows - 1]
+    assert set(lines[2:-1]) == {rows} and 0 < lines[-1] <= rows
+    assert sum(lines) == p.field.size
 
 
 def test_ddt_csv_roundtrip():
