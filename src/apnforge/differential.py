@@ -6,20 +6,19 @@ fibers are cosets of one kernel, whose size fixes the fiber histogram.
 |ker| at every shift a != 0 is 2^(w - rank), with the F_2-rank of the w
 images B(a, X^i) from one elimination over all shifts at once, on uint64
 bit-planes of 64 shifts a word (:mod:`apnforge.bitplanes`), O(w^3 2^w / 64)
-word operations.  Two independent routes
-give those images, and :func:`derivative_spectrum` ranks them only once they
-agree image by image:
+word operations.  :func:`derivative_spectrum` is the whole check; the CLI,
+:func:`is_t_to_one` and :func:`ddt` all take their verdicts from it.  In order:
 
-* the kernel route builds their planes from the w^2 values B(X^j, X^i) of
-  the linearized form in :mod:`apnforge.hexanomial`, whose coefficients
-  the spot check holds to the definition of D_a on seeded (a, x) pairs,
-  reading F off the table once the table is certified; the route itself
-  never reads F's table;
-* the definition route reads them off a table of F (its formula on the
-  field's array view), packed into planes, once the scalar F has matched
-  the table at every x of weight <= 2, the points that fix a quadratic map
-  (evaluated in one call, the scalar Field's shift-and-reduce on an int64
-  array of the 1 + w(w+1)/2 points).
+* the kernel route builds the images' planes from the w^2 values B(X^j, X^i)
+  of the linearized form in :mod:`apnforge.hexanomial`, never reading F's table;
+* the table of F (its formula on the field's array view) must match the scalar
+  F at every x of weight <= 2, the points that fix a quadratic map (one call,
+  the scalar Field's shift-and-reduce on an int64 array of 1 + w(w+1)/2 points);
+* the definition route reads the images off that table, packed into planes,
+  and they must agree with the kernel route's image by image at every shift;
+* the spot check holds the linearized form to the definition of D_a on seeded
+  (a, x) pairs, reading F off the certified table, which is then freed;
+* one elimination ranks the planes.
 
 The kernel route's images are linear in a, so their agreement at every
 shift makes every derivative of the table affine: that is the certificate
@@ -27,13 +26,12 @@ that the table is quadratic, and it makes the two routes' ranks equal by
 construction.  A disagreement raises :class:`CrossCheckError` instead of
 a verdict; the test suite holds each route to its own oracle as well.
 A map is 2^k-to-one exactly when every kernel has size 2^k; APN is k = 1.
-Spectra are capped (w <= 16 by default and always in
-:func:`verify_instance`); the O(4^w) difference distribution table is
-capped tighter (default w <= 12) and written a block of rows at a time
-from the certified spectrum: row a is one coset of Im B(a, .), a 0/1 mask
-per block (:func:`_coset_masks`), which :func:`ddt_blocks` turns into int32
-counts and :func:`ddt_csv_blocks` straight into the CSV bytes.  The count
-by the definition lives in the test oracle.
+Spectra are capped (w <= 16 by default, and always on the command line);
+the O(4^w) difference distribution table is capped tighter (default w <= 12)
+and written a block of rows at a time from the certified spectrum: row a is
+one coset of Im B(a, .), a 0/1 mask per block (:func:`_coset_masks`), which
+:func:`ddt_blocks` turns into int32 counts and :func:`ddt_csv_blocks` straight
+into the CSV bytes.  The count by the definition lives in the test oracle.
 """
 
 from __future__ import annotations
@@ -145,23 +143,21 @@ def _check_table(p: BCParams, ftab: np.ndarray, planes: np.ndarray) -> np.ndarra
     return offsets
 
 
-def derivative_spectrum(p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP) -> DerivativeSpectrum:
-    """The spectrum of every a != 0 from the kernel route's planes of B(a, X^i), once F's
-    value table has given the same image at every shift (:func:`_check_table`)."""
-    return _spectrum(p, degree_cap, lambda ftab: None)[0]
-
-
-def _spectrum(p: BCParams, degree_cap: int, read_table) -> tuple[DerivativeSpectrum, object]:
-    """(:func:`derivative_spectrum`, read_table(F's value table)): read_table runs once the
-    table is certified, and the table is freed before the elimination."""
+def derivative_spectrum(
+    p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP, seed: int = 0
+) -> DerivativeSpectrum:
+    """The whole exact check, in the order the module docstring lists: the spectrum of
+    every a != 0 from the kernel route's planes, once F's certified value table agrees
+    with them (:func:`_check_table`) and the spot check, seeded by seed, has passed.
+    The cap is checked before any work; a failed check raises :class:`CrossCheckError`."""
     check_degree("spectrum", p.field.w, degree_cap)
     planes = bilinear_planes(p)
     ftab = value_table(p)
     offsets = _check_table(p, ftab, planes)
-    read = read_table(ftab)
+    _spot_check(p, seed, ftab)
     del ftab
     basis = bitplanes.echelon(planes)
-    return DerivativeSpectrum(_kernels(basis), basis, offsets), read
+    return DerivativeSpectrum(_kernels(basis), basis, offsets)
 
 
 def _kernels(basis: np.ndarray) -> np.ndarray:
@@ -188,11 +184,6 @@ def bilinear_planes(p: BCParams) -> np.ndarray:
     return planes
 
 
-def kernel_sizes(p: BCParams) -> np.ndarray:
-    """|ker D_a| = |ker B(a, .)| = 2^(w - rank) for every a (index 0 unused): the kernel route."""
-    return _kernels(bitplanes.echelon(bilinear_planes(p)))
-
-
 def _coset_histogram(size: int, kernel: int) -> dict[int, int]:
     """The fiber histogram an affine map on `size` points with the given kernel size must have."""
     attained = size // kernel
@@ -203,10 +194,10 @@ def _coset_histogram(size: int, kernel: int) -> dict[int, int]:
 
 
 def cross_check_spectrum(p: BCParams, spec: DerivativeSpectrum) -> None:
-    """Raise CrossCheckError unless spec's kernels equal the kernel route's at every shift:
-    the per-shift reference for tests and the benchmark replay.  :func:`verify_instance`
-    no longer calls it, since :func:`derivative_spectrum` compares the images themselves."""
-    ks = kernel_sizes(p)
+    """Raise CrossCheckError unless spec's kernels equal those of the kernel route's planes,
+    ranked again, at every shift: a per-shift reference for tests and the benchmark
+    replay, since :func:`derivative_spectrum` compares the images themselves."""
+    ks = _kernels(bitplanes.echelon(bilinear_planes(p)))
     bad = np.flatnonzero(spec.kernels != ks)
     if bad.size:
         a = int(bad[0])
@@ -216,10 +207,10 @@ def cross_check_spectrum(p: BCParams, spec: DerivativeSpectrum) -> None:
         )
 
 
-def _spot_check(p: BCParams, seed: int, ftab: np.ndarray) -> dict:
-    """Seeded (a, x) samples on which the defining form of D_a, reading F off its certified
-    value table ftab, and the linearized form must agree, reduced from 32-bit words of one
-    draw (a bias below 2^-8)."""
+def _spot_check(p: BCParams, seed: int, ftab: np.ndarray) -> None:
+    """Raise CrossCheckError unless the defining form of D_a, reading F off its certified
+    value table ftab, and the linearized form agree on SPOT_CHECK_SAMPLES seeded (a, x)
+    pairs, reduced from 32-bit words of one draw (a bias below 2^-8)."""
     size = p.field.size
     bits = random.Random(seed).getrandbits(64 * SPOT_CHECK_SAMPLES)
     words = np.frombuffer(bits.to_bytes(8 * SPOT_CHECK_SAMPLES, "little"), dtype="<u4")
@@ -234,33 +225,13 @@ def _spot_check(p: BCParams, seed: int, ftab: np.ndarray) -> dict:
         raise CrossCheckError(
             f"defining and linear forms disagree at a={int(a[i]):#x}, x={int(x[i]):#x}"
         )
-    return {"seed": seed, "samples": SPOT_CHECK_SAMPLES, "agree": True}
-
-
-def verify_instance(
-    p: BCParams, degree_cap: int = SPECTRUM_DEGREE_CAP, seed: int = 0
-) -> tuple[DerivativeSpectrum, dict]:
-    """The whole exact check: (the certified spectrum, the spot check's record).
-
-    The spectrum cap is checked before any work and never exceeds w = 16:
-    the routes hold all 2^w shifts at once (at w = 20 the whole check took
-    0.6-1.0 s with a 145 MiB peak, in-process runs on a 2-core Xeon);
-    raising it waits on chunked routes and a predicted-memory check.  The
-    routes' images are compared at every shift and ranked once, and the spot
-    check reads F off the value table once the table is certified, before it
-    is freed for the elimination; any failed certificate or disagreement raises
-    :class:`CrossCheckError` instead of a verdict.  No report is built.
-    """
-    return _spectrum(
-        p, min(degree_cap, SPECTRUM_DEGREE_CAP), lambda ftab: _spot_check(p, seed, ftab)
-    )
 
 
 def is_t_to_one(p: BCParams, t: int) -> bool:
-    """Every nonzero-shift fiber has size exactly t (a power of two), by :func:`verify_instance`."""
+    """Every nonzero-shift fiber has size exactly t (a power of two), by the whole check."""
     if t < 1 or t & (t - 1):
         raise ValueError(f"fiber size must be a power of two, got {t}")
-    return verify_instance(p)[0].uniform_fiber_size() == t
+    return derivative_spectrum(p).uniform_fiber_size() == t
 
 
 def is_apn(p: BCParams) -> bool:

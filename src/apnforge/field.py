@@ -27,8 +27,8 @@ F_2-linear map compiled into such tables once, and a general product
 XORs byte-pair carryless products from one table shared by all fields,
 then reduces its high bits by one more linear map.
 :func:`roots_of_unity` takes its powers in one array multiply from a
-root of order n, without a generator of the whole group (which
-``Field.generator`` finds on first use).  Field objects are immutable
+root of order n, without a generator of the whole group (the test
+oracle finds one with its own arithmetic).  Field objects are immutable
 after construction, apart from what they build on first use, and safe
 to share.
 """
@@ -154,11 +154,6 @@ class Field:
         if self.w > 31:
             raise SizeLimitError(f"array arithmetic for w={self.w} exceeds 31")
         return _ArrayOps(self.w, self.modulus, self._frob)
-
-    @functools.cached_property
-    def generator(self) -> int:
-        """The least element of multiplicative order 2^w - 1, found on first use."""
-        return _least_of_order(self, self.order)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -371,7 +366,8 @@ def roots_of_unity_array(field: Field, n: int) -> np.ndarray:
     giant = list(itertools.accumulate([baby[side]] * (side - 1), field.mul, initial=1))
     powers = field.array_ops.mul(np.array(giant)[:, None], np.array(baby[:side]))
     roots = np.sort(powers.ravel()[:n]).astype(np.int64)
-    assert (roots[1:] > roots[:-1]).all(), "h must have multiplicative order n"
+    if not (roots[1:] > roots[:-1]).all():
+        raise AssertionError("h must have multiplicative order n")
     return roots
 
 

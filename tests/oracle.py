@@ -7,8 +7,9 @@ library and this module agree, a shared bug would have to be duplicated
 across two very different code paths.
 
 :class:`TableOps` is the exception: field ops by exp/log lookup, for
-ints and arrays, with the arrays rebuilt here from the field's public
-``generator`` and ``mul``.  The library multiplies scalars by
+ints and arrays, with the arrays rebuilt here from the field's ``mul``
+and this module's :func:`generator`, the least element of full order by
+big-int powers.  The library multiplies scalars by
 shift-and-reduce and arrays by byte-table gathers, so these tables are a
 third arithmetic to hold both to, fast enough for exhaustive loops; :func:`derivative_table` also
 reads the library's value table.  :func:`search_c` and
@@ -17,10 +18,12 @@ root, one pair at a time or a chunk of candidates at a time on the
 tables, and :func:`vanishing_coeff_set` evaluates every candidate at
 one root: the brute force the library's coset search replaced.
 
-:func:`per_shift_kernel_sizes` is the kernel route the library's
-bilinear one replaced: it evaluates the collapsed form of every D_a at
-X^0..X^(w-1), all shifts at once on the field's array view, and ranks
-those images in int64 rows.  :func:`span_kernel_sizes` is the span
+:func:`kernel_sizes` is the library's kernel route ranked on its own,
+with no value table: the per-shift kernel sizes the library's one check
+no longer computes apart.  :func:`per_shift_kernel_sizes` is the kernel
+route the library's bilinear one replaced: it evaluates the collapsed
+form of every D_a at X^0..X^(w-1), all shifts at once on the field's
+array view, and ranks those images in int64 rows.  :func:`span_kernel_sizes` is the span
 route the rank route replaced before that: it spans every D_a from its
 basis images, computed for all shifts at once by the collapsed form on
 the tables, and counts zeros, O(4^w).  :func:`histogram_spectrum` is
@@ -45,8 +48,9 @@ from collections import Counter
 
 import numpy as np
 
+from apnforge import bitplanes
 from apnforge.compatibility import eval_compat_poly
-from apnforge.differential import value_table
+from apnforge.differential import bilinear_planes, value_table
 from apnforge.field import roots_of_unity
 from apnforge.hexanomial import (
     collapsed_coeffs,
@@ -115,6 +119,28 @@ def irreducible_by_products(f):
     return True
 
 
+def prime_factors(n):
+    """The distinct primes dividing n, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] * (n > 1)
+
+
+@functools.lru_cache(maxsize=None)
+def generator(mod):
+    """The least z of multiplicative order 2^w - 1: z^(order/q) != 1 for each prime q."""
+    order = (1 << deg(mod)) - 1
+    primes = prime_factors(order)
+    return next(
+        z for z in range(1, order + 1) if all(gfpow(z, order // q, mod) != 1 for q in primes)
+    )
+
+
 def unity_roots(mod, n):
     """Scan route: every nonzero z with z^n = 1."""
     size = 1 << deg(mod)
@@ -172,14 +198,14 @@ def fiber_histogram(m, n, c, d, a, mod):
 
 @functools.lru_cache(maxsize=None)
 def exp_log_tables(field):
-    """(exp, log) int64 arrays from powers of the generator; exp is doubled."""
+    """(exp, log) int64 arrays from powers of :func:`generator`; exp is doubled."""
     exp = np.zeros(2 * field.order, dtype=np.int64)
     log = np.zeros(field.size, dtype=np.int64)
-    v = 1
+    v, g = 1, generator(field.modulus)
     for i in range(field.order):
         exp[i] = exp[i + field.order] = v
         log[v] = i
-        v = field.mul(v, field.generator)
+        v = field.mul(v, g)
     exp.setflags(write=False)
     log.setflags(write=False)
     return exp, log
@@ -302,6 +328,15 @@ def span_kernel_sizes(p):
     out = np.zeros(p.field.size, dtype=np.int64)
     for a in range(1, p.field.size):
         out[a] = int(np.count_nonzero(derivative_table_linear(p, a) == 0))
+    return out
+
+
+def kernel_sizes(p):
+    """|ker B(a, .)| = 2^(w - rank) for every a (index 0 unused): the library's kernel
+    route on its own, its planes ranked with no value table in sight."""
+    ranks = bitplanes.ranks(bitplanes.echelon(bilinear_planes(p))).astype(np.int64)
+    out = np.left_shift(1, p.field.w - ranks)
+    out[0] = 0
     return out
 
 

@@ -404,21 +404,33 @@ def test_back_to_back_runs_share_one_parser_and_no_flags(capsys, tmp_path):
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_traced_benchmark_replay_reproduces_cli_stdout(capsys):
-    """perfbench/replay.py re-runs verify through public calls; its bytes must match."""
+@pytest.mark.parametrize("argv", [
+    ["verify", "--m", "3", "--n", "2"],
+    ["verify", "--m", "3", "--n", "2", "--ddt-out", "{tmp}/ddt.csv"],
+    ["sweep", "--m-range", "1..3", "--n-range", "1..4"],
+    ["bc-empirical", "--max-2m", "12"],
+], ids=["verify", "verify-ddt-out", "sweep", "bc-empirical"])
+def test_traced_benchmark_replay_reproduces_cli_stdout(capsys, tmp_path, argv):
+    """perfbench/replay.py re-runs the command through public calls (the spectrum and the
+    whole-table DDT among them); its stdout and written file must match the CLI's bytes."""
     root = Path(__file__).resolve().parents[1]
-    argv = ["verify", "--m", "3", "--n", "2"]
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    out_file = argv[argv.index("--ddt-out") + 1] if "--ddt-out" in argv else None
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
+    expected = {"stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
+    if out_file is not None:
+        written = Path(out_file).read_bytes()
+        Path(out_file).unlink()
+        expected.update(file_sha256=hashlib.sha256(written).hexdigest(), file_bytes=len(written))
     pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "replay.py"),
-         json.dumps([{"argv": argv, "out_file": None}])],
+         json.dumps([{"argv": argv, "out_file": out_file}])],
         capture_output=True, text=True, timeout=300, check=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
-    replayed = json.loads(proc.stdout)["invocations"][0]["stdout_sha256"]
-    assert replayed == hashlib.sha256(out.encode()).hexdigest()
+    assert json.loads(proc.stdout)["invocations"] == [expected]
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,7 +18,6 @@ from apnforge.differential import (
     derivative_spectrum,
     is_apn,
     is_t_to_one,
-    kernel_sizes,
     spectrum_report,
     value_table,
 )
@@ -115,7 +114,7 @@ def test_incompatible_c_observed_spectrum():
 
 def test_kernel_route_matches_exhaustive_kernels():
     for p in [APN_21, params(2, 2, 5), params(2, 1, 3), params(1, 1, 2)]:
-        ks = kernel_sizes(p)
+        ks = oracle.kernel_sizes(p)
         for a in range(1, p.field.size):
             assert ks[a] == len(oracle.derivative_kernel(p, a))
 
@@ -126,7 +125,7 @@ def _assert_routes_match_oracles(p):
     xs = np.arange(p.field.size)
     assert (value_table(p) == hexanomial.hexanomial_form(oracle.TableOps(p.field), p, xs)).all()
     assert oracle.anf_degree(value_table(p)) == 2, p.to_dict()
-    ks = kernel_sizes(p)
+    ks = oracle.kernel_sizes(p)
     assert (ks == oracle.span_kernel_sizes(p)).all(), p.to_dict()
     assert (ks == oracle.per_shift_kernel_sizes(p)).all(), p.to_dict()
     spec = derivative_spectrum(p)
@@ -163,7 +162,7 @@ def test_kernel_route_matches_per_shift_oracle(m, n, c, sizes):
     """The bilinear kernel route against the per-shift collapsed form it replaced, on
     mixed kernels, gcd > 1 and w = 16 (the compatible c, which is APN)."""
     p = params(m, n, find_compatible_c(m, n, make_field(2 * m)) if c is None else c)
-    ks = kernel_sizes(p)
+    ks = oracle.kernel_sizes(p)
     assert (ks == oracle.per_shift_kernel_sizes(p)).all(), p.to_dict()
     if sizes is not None:
         assert set(ks[1:].tolist()) == sizes
@@ -199,7 +198,7 @@ def test_kernel_route_never_reads_the_value_table(monkeypatch):
 
     p = params(5, 2, 3)
     monkeypatch.setattr(differential, "value_table", must_not_run)
-    assert (kernel_sizes(p) == oracle.per_shift_kernel_sizes(p)).all()
+    assert (oracle.kernel_sizes(p) == oracle.per_shift_kernel_sizes(p)).all()
 
 
 def test_array_ops_match_field_ops():
@@ -383,7 +382,7 @@ def test_spot_check_reads_the_same_derivatives_off_the_table(monkeypatch):
 
     monkeypatch.setattr(hexanomial, "derivative_form", both)
     for m in range(1, 8):
-        differential.verify_instance(params(m, 1, 3), seed=m)
+        derivative_spectrum(params(m, 1, 3), seed=m)
     assert checked == [(2 * m, differential.SPOT_CHECK_SAMPLES) for m in range(1, 8)]
 
 
@@ -430,16 +429,18 @@ def test_a_rank_preserving_image_swap_is_refused(monkeypatch):
     assert images[:, 4].tolist() == reference[[1, 0, 2, 3], 4].tolist()
     assert np.array_equal(np.delete(images, 4, axis=1), np.delete(reference, 4, axis=1))
     ranks = differential._kernels(bitplanes.echelon(swapped(APN_21)))
-    assert (ranks == kernel_sizes(APN_21)).all()
+    assert (ranks == oracle.kernel_sizes(APN_21)).all()
     monkeypatch.setattr(differential, "bilinear_planes", swapped)
     with pytest.raises(CrossCheckError, match="shift a=0x4, basis X\\^0: "):
         is_apn(APN_21)
 
 
-def test_verify_instance_ranks_once(monkeypatch):
-    """One elimination per verify, and no second route ranked for comparison."""
-    calls = {"echelon": 0, "cross_check_spectrum": 0}
-    for module, name in [(bitplanes, "echelon"), (differential, "cross_check_spectrum")]:
+def test_derivative_spectrum_runs_each_check_once(monkeypatch):
+    """One call is the whole check: one value table, one spot check, one elimination,
+    and no second route ranked for comparison."""
+    calls = dict.fromkeys(["value_table", "_spot_check", "echelon", "cross_check_spectrum"], 0)
+    for name in calls:
+        module = bitplanes if name == "echelon" else differential
         orig = getattr(module, name)
 
         def counted(*args, _name=name, _orig=orig):
@@ -447,20 +448,22 @@ def test_verify_instance_ranks_once(monkeypatch):
             return _orig(*args)
 
         monkeypatch.setattr(module, name, counted)
-    differential.verify_instance(params(3, 2, 3))
-    assert calls == {"echelon": 1, "cross_check_spectrum": 0}
+    derivative_spectrum(params(3, 2, 3))
+    assert calls == {"value_table": 1, "_spot_check": 1, "echelon": 1, "cross_check_spectrum": 0}
 
 
-def test_is_apn_runs_the_spot_check(monkeypatch):
-    """A wrong defining form fails the spot check, which names the first bad sample: the
-    seeded generator's 64000 bits in one draw, as 32-bit words, a then x, reduced into
-    1..15 and 0..15."""
+@pytest.mark.parametrize("entry", [is_apn, derivative_spectrum, ddt])
+def test_every_verdict_runs_the_spot_check(monkeypatch, entry):
+    """A wrong defining form fails the spot check in the library's verdict, spectrum and
+    whole-table DDT alike, and the check names the first bad sample: the seeded
+    generator's 64000 bits in one draw, as 32-bit words, a then x, reduced into 1..15 and
+    0..15."""
     words = np.frombuffer(random.Random(0).getrandbits(64000).to_bytes(8000, "little"), "<u4")
     samples = [(int(a) % 15 + 1, int(x) % 16) for a, x in words.reshape(-1, 2)]
     a, x = next((a, x) for a, x in samples if eval_derivative_linear(APN_21, a, x) != x ^ 1)
     monkeypatch.setattr(hexanomial, "derivative_form", lambda f, p, a, x, table=None: x ^ 1)
     with pytest.raises(CrossCheckError, match=f"forms disagree at a={a:#x}, x={x:#x}$"):
-        is_apn(APN_21)
+        entry(APN_21)
 
 
 def test_wrong_linear_form_fails_the_cross_check(monkeypatch):
@@ -468,22 +471,6 @@ def test_wrong_linear_form_fails_the_cross_check(monkeypatch):
     monkeypatch.setattr(hexanomial, "collapsed_form", lambda f, p, coeffs, x: x)
     with pytest.raises(CrossCheckError, match="shift a="):
         is_apn(APN_21)
-
-
-def test_verify_instance_refuses_w_above_16_before_any_work(monkeypatch):
-    def must_not_run(*args, **kwargs):
-        pytest.fail("expensive work started before the cap was checked")
-
-    monkeypatch.setattr(differential, "value_table", must_not_run)
-    with pytest.raises(SizeLimitError, match="w=18"):
-        differential.verify_instance(params(9, 1, 0, 2), degree_cap=18)
-
-
-def test_verify_instance_returns_the_spectrum_and_the_spot_check():
-    spec, spot = differential.verify_instance(APN_21, seed=7)
-    assert isinstance(spec, DerivativeSpectrum)
-    assert np.array_equal(spec.kernels, derivative_spectrum(APN_21).kernels)
-    assert spot == {"seed": 7, "samples": differential.SPOT_CHECK_SAMPLES, "agree": True}
 
 
 def test_library_verdicts_build_no_report(monkeypatch):

@@ -1,6 +1,10 @@
 """Field core against the naive polynomial oracle and frozen constants."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,13 +91,13 @@ def test_field_build_does_not_divide_its_modulus_again(monkeypatch):
 
 def test_unity_roots_factor_only_their_order(monkeypatch):
     """Building F_{2^24} factors nothing, and its 4097-th roots of unity factor 4097 =
-    17 * 241, never 2^24 - 1: they need no generator, which is found on first use."""
+    17 * 241, never 2^24 - 1: they need no generator of the whole group."""
     factored = []
     factor = field_module._prime_factors
     monkeypatch.setattr(field_module, "_prime_factors", lambda n: factored.append(n) or factor(n))
     f = Field(24)
     roots = roots_of_unity(f, 4097)
-    assert factored == [4097] and "generator" not in vars(f)
+    assert factored == [4097]
     assert len(roots) == 4097 and all(f.pow(z, 4097) == 1 for z in roots[::64])
 
 
@@ -116,7 +120,7 @@ def test_mul_matches_oracle_above_table_range():
     broadcast) and times(k)."""
     for w, xs in [(17, [1, 2, 0x1F2A3, 0x0BEEF]), (24, [1, 2, 0xFEDCBA, 0x80FF01])]:
         f = make_field(w)
-        xs += [f.generator, f.size - 1]
+        xs += [oracle.generator(f.modulus), f.size - 1]
         expected = [[oracle.gfmul(x, y, f.modulus) for y in xs] for x in xs]
         assert [[f.mul(x, y) for y in xs] for x in xs] == expected
         column, row = np.array(xs)[:, None], np.array(xs)
@@ -289,6 +293,26 @@ def test_roots_of_unity_matches_scan_and_is_a_group():
             assert f.mul(z, mu[1 % len(mu)]) in members
 
 
+def test_roots_of_unity_checks_the_order_of_its_root_under_python_O():
+    """With the root's order wrong, roots_of_unity_array raises even when python -O strips
+    asserts, instead of returning n copies of one element."""
+    script = (
+        "from apnforge import field\n"
+        "field._least_of_order = lambda f, n: 1\n"
+        "try:\n"
+        "    print(field.roots_of_unity_array(field.make_field(8), 17).tolist())\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.stdout == "raised: h must have multiplicative order n\n", proc.stdout + proc.stderr
+
+
 def test_roots_of_unity_rejects_non_divisors():
     f = make_field(4)
     with pytest.raises(ValueError):
@@ -304,15 +328,15 @@ def test_generator_spans_nonzero_elements():
         v = 1
         for _ in range(f.order):
             seen.add(v)
-            v = f.mul(v, f.generator)
+            v = f.mul(v, oracle.generator(f.modulus))
         assert len(seen) == f.order
 
 
 def test_generator_is_least():
-    # Least generator of F_16 mod X^4+X+1, frozen from the oracle.
-    assert make_field(4).generator == 2
+    # Least generator of F_16 mod X^4+X+1, frozen.
+    assert oracle.generator(make_field(4).modulus) == 2
     f = make_field(6)
-    for g in range(1, f.generator):
+    for g in range(1, oracle.generator(f.modulus)):
         assert len({oracle.gfpow(g, e, f.modulus) for e in range(f.order)}) < f.order
 
 
@@ -419,8 +443,9 @@ def test_oracle_exp_log_tables_consistent():
     assert exp.shape == (2 * f.order,)
     for x in range(1, f.size):
         assert exp[log[x]] == x
+    g = oracle.generator(f.modulus)
     for i in (0, 1, 7, f.order - 1):
-        assert exp[i] == exp[i + f.order] == oracle.gfpow(f.generator, i, f.modulus)
+        assert exp[i] == exp[i + f.order] == oracle.gfpow(g, i, f.modulus)
 
 
 @pytest.mark.parametrize("w", [8, 16, 24])

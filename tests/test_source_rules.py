@@ -1,0 +1,16 @@
+"""Rules the library's source keeps, checked by parsing it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "apnforge").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    """python -O strips assert statements, so a run-time check must raise explicitly."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert statements at lines {lines}"
