@@ -23,7 +23,8 @@ Three views of the same question live here and check each other:
   integer core is the divisibility fact (2^m + 1) | (2^n + 1) iff n/m is
   an odd integer (:func:`divisibility_criterion`);
 * root structure -- for each unity root y, the set of coefficient values
-  that vanish at y (:func:`vanishing_coeff_set`) and the closed-form
+  that vanish at y (:func:`vanishing_coeff_set`), empty or a coset of the
+  m-dimensional kernel c0 F_r, c0^(r-1) = y^(s-1), and the closed-form
   witnesses inside F_r union mu_{r+1} (:func:`witnesses`).
 
 The polynomial is written once (:func:`eval_compat_poly`), generic over

@@ -16,8 +16,9 @@ word operations.  :func:`derivative_spectrum` is the whole check; the CLI,
   the scalar Field's shift-and-reduce on an int64 array of 1 + w(w+1)/2 points);
 * the definition route reads the images off that table, packed into planes,
   and they must agree with the kernel route's image by image at every shift;
-* the spot check holds the linearized form to the definition of D_a on seeded
-  (a, x) pairs, reading F off the certified table, which is then freed;
+* the spot check holds B's coefficient expression, which the kernel route
+  evaluates only at basis pairs, to B read off the certified table at seeded
+  (a, y) pairs; the table is then freed;
 * one elimination ranks the planes.
 
 The kernel route's images are linear in a, so their agreement at every
@@ -208,22 +209,22 @@ def cross_check_spectrum(p: BCParams, spec: DerivativeSpectrum) -> None:
 
 
 def _spot_check(p: BCParams, seed: int, ftab: np.ndarray) -> None:
-    """Raise CrossCheckError unless the defining form of D_a, reading F off its certified
-    value table ftab, and the linearized form agree on SPOT_CHECK_SAMPLES seeded (a, x)
-    pairs, reduced from 32-bit words of one draw (a bias below 2^-8)."""
+    """Raise CrossCheckError unless B(a, y) read off F's certified value table ftab,
+    F(a + y) + F(a) + F(y) + F(0), equals B's coefficient expression, which the kernel
+    route evaluates only at basis pairs, on SPOT_CHECK_SAMPLES seeded (a, y) pairs,
+    reduced from 32-bit words of one draw (a bias below 2^-8)."""
     size = p.field.size
     bits = random.Random(seed).getrandbits(64 * SPOT_CHECK_SAMPLES)
     words = np.frombuffer(bits.to_bytes(8 * SPOT_CHECK_SAMPLES, "little"), dtype="<u4")
-    a, x = words.astype(np.int64).reshape(-1, 2).T
-    a, x = a % (size - 1) + 1, x % size
+    a, y = words.astype(np.int64).reshape(-1, 2).T
+    a, y = a % (size - 1) + 1, y % size
     ops = p.field.array_ops
-    defining = hexanomial.derivative_form(ops, p, a, x, ftab)
-    collapsed = hexanomial.collapsed_form(ops, p, hexanomial.collapsed_coeffs(ops, p, a), x)
-    bad = np.flatnonzero(defining != collapsed)
+    linear = hexanomial.collapsed_form(ops, p, hexanomial.bilinear_coeffs(ops, p, a), y)
+    bad = np.flatnonzero(ftab[a ^ y] ^ ftab[a] ^ ftab[y] ^ ftab[0] != linear)
     if bad.size:
         i = int(bad[0])
         raise CrossCheckError(
-            f"defining and linear forms disagree at a={int(a[i]):#x}, x={int(x[i]):#x}"
+            f"B's table and coefficient forms disagree at a={int(a[i]):#x}, y={int(y[i]):#x}"
         )
 
 
@@ -249,11 +250,12 @@ def _coset_masks(spec: DerivativeSpectrum):
     taken now, so the spectrum may go; the mask is scratch shared by every block, valid
     only until the next is requested, and the caller may write over it."""
     w, size = len(spec.basis), len(spec.kernels)
+    check_degree("DDT stream", w, 16)  # the residues are '<u2'
     vectors = np.empty((w + 1, *spec.offsets.shape), dtype=np.uint64)
     vectors[0] = spec.offsets  # D_a(0), then X^0..X^(w-1) at every shift
     vectors[1:] = bitplanes.constant(1 << np.arange(w), w)
     bitplanes.reduce(vectors, spec.basis)
-    residues = bitplanes.unpack(vectors, "<u2")  # w <= SPECTRUM_DEGREE_CAP = 16
+    residues = bitplanes.unpack(vectors, "<u2")
     # the first 2^h cells of every row, doubled once down whole columns: per block, those
     # narrow doublings would cost a call each for a few cells a row
     h = min(w, 4)

@@ -12,15 +12,13 @@ F is quadratic (every exponent has binary weight <= 2), so
 B(a, y) = F(a + y) + F(a) + F(y) = b0 y + br y^r + bs y^s + brs y^(rs)
 is F_2-bilinear, b0..brs linear in a (:func:`bilinear_coeffs`).  For a
 nonzero shift a the rescaled derivative D_a(x) = F(a x) + F(a x + a) +
-F(a) is B(a, a x), a linearized polynomial whose coefficients are
-b0..brs times a, a^r, a^s, a^(rs) (:func:`collapsed_coeffs`).  Each
-x^(2^t), t in {m, n, m+n}, is linear over F_{2^k}, k = gcd(m, n); so
-D_a is F_{2^k}-linear and its nonzero fibers are cosets of its kernel
--- the fact that makes exhaustive derivative verification cheap.
+F(a) is B(a, a x), a linearized polynomial in x.  Each x^(2^t), t in
+{m, n, m+n}, is linear over F_{2^k}, k = gcd(m, n); so D_a is
+F_{2^k}-linear and its nonzero fibers are cosets of its kernel -- the
+fact that makes exhaustive derivative verification cheap.
 
 F (:func:`hexanomial_form`), D_a from the definition
-(:func:`derivative_form`, which can read F's values off a value table
-instead), the coefficients of B and D_a and the sum they weight
+(:func:`derivative_form`), the coefficients of B and the sum they weight
 (:func:`collapsed_form`) are each written once, generic over field ops:
 the scalar :class:`Field` on ints or int64 arrays (:func:`eval_hexanomial`,
 which the value table's check calls once on every point of weight <= 2,
@@ -159,13 +157,10 @@ def eval_hexanomial(p: BCParams, x):
     return hexanomial_form(p.field, p, x)
 
 
-def derivative_form(f, p: BCParams, a, x, table=None):
-    """D_a(x) = F(ax) + F(ax + a) + F(a) straight from the definition, under field ops f,
-    with F's values from :func:`hexanomial_form`, or read off ``table`` (F at every
-    element, in canonical order) when one is given."""
+def derivative_form(f, p: BCParams, a, x):
+    """D_a(x) = F(ax) + F(ax + a) + F(a) straight from the definition, under field ops f."""
     ax = f.mul(a, x)
-    F = functools.partial(hexanomial_form, f, p) if table is None else table.take
-    return F(ax) ^ F(ax ^ a) ^ F(a)
+    return hexanomial_form(f, p, ax) ^ hexanomial_form(f, p, ax ^ a) ^ hexanomial_form(f, p, a)
 
 
 def eval_derivative(p: BCParams, a: int, x: int) -> int:
@@ -183,33 +178,26 @@ def bilinear_coeffs(f, p: BCParams, a):
     return an ^ ar ^ c(ars), a ^ cr(an) ^ ars, a ^ cr(ar) ^ d(ars), c(a) ^ d(an) ^ ar
 
 
-def collapsed_coeffs(f, p: BCParams, a):
-    """(l0, lr, ls, lrs): D_a(x) = B(a, a x) = l0 x + lr x^r + ls x^s + lrs x^(rs), the
-    coefficients of B times (a, a^r, a^s, a^(rs)), under field ops f."""
-    conjugates = (a, *_conjugates(f, p, a))
-    return tuple(f.mul(t, b) for t, b in zip(conjugates, bilinear_coeffs(f, p, a)))
-
-
-def collapsed_form(f, p: BCParams, coeffs, x):
-    """l0 x + lr x^r + ls x^s + lrs x^(rs) under field ops f: D_a(x) from the coefficients
-    of :func:`collapsed_coeffs`, B(a, x) from those of :func:`bilinear_coeffs`."""
-    l0, lr, ls, lrs = coeffs
-    xr, xs, xrs = _conjugates(f, p, x)
-    return f.mul(l0, x) ^ f.mul(lr, xr) ^ f.mul(ls, xs) ^ f.mul(lrs, xrs)
+def collapsed_form(f, p: BCParams, coeffs, y):
+    """B(a, y) = b0 y + br y^r + bs y^s + brs y^(rs) under field ops f, from the
+    coefficients of :func:`bilinear_coeffs` at a."""
+    b0, br, bs, brs = coeffs
+    yr, ys, yrs = _conjugates(f, p, y)
+    return f.mul(b0, y) ^ f.mul(br, yr) ^ f.mul(bs, ys) ^ f.mul(brs, yrs)
 
 
 @functools.lru_cache(maxsize=1 << 18)
 def derivative_coeffs(p: BCParams, a: int) -> tuple[int, int, int, int]:
-    """The four coefficients of the linearized form of D_a in the scalar field."""
+    """The four coefficients of B(a, .), the linear part of D_a, in the scalar field."""
     if a == 0:
         raise ValueError("derivative shift a must be nonzero")
-    return collapsed_coeffs(p.field, p, a)
+    return bilinear_coeffs(p.field, p, a)
 
 
 def eval_derivative_linear(p: BCParams, a: int, x: int) -> int:
-    """D_a(x) through the four-term linearized form: independent of :func:`eval_derivative`
-    past the shared field ops, and held to it by the test suite."""
-    return collapsed_form(p.field, p, derivative_coeffs(p, a), x)
+    """D_a(x) = B(a, a x) through the four-term linearized form: independent of
+    :func:`eval_derivative` past the shared field ops, and held to it by the test suite."""
+    return collapsed_form(p.field, p, derivative_coeffs(p, a), p.field.mul(a, x))
 
 
 def default_d(field: Field, m: int) -> int:

@@ -53,7 +53,7 @@ from apnforge.compatibility import eval_compat_poly
 from apnforge.differential import bilinear_planes, value_table
 from apnforge.field import roots_of_unity
 from apnforge.hexanomial import (
-    collapsed_coeffs,
+    bilinear_coeffs,
     collapsed_form,
     eval_derivative_linear,
     hexanomial_form,
@@ -306,12 +306,12 @@ def _span(images):
 
 @functools.lru_cache(maxsize=8)
 def derivative_images(p):
-    """D_a(X^0..X^(w-1)) for every shift at once, from the collapsed form on the table
-    ops; row a - 1 holds the w images of shift a."""
+    """D_a(X^i) = B(a, a X^i), i < w, for every shift at once, from B's coefficients on
+    the table ops; row a - 1 holds the w images of shift a."""
     ops = TableOps(p.field)
     shifts = np.arange(1, p.field.size)[:, None]
     basis = 1 << np.arange(p.field.w)
-    images = collapsed_form(ops, p, collapsed_coeffs(ops, p, shifts), basis)
+    images = collapsed_form(ops, p, bilinear_coeffs(ops, p, shifts), ops.mul(shifts, basis))
     images.setflags(write=False)
     return images
 
@@ -341,11 +341,12 @@ def kernel_sizes(p):
 
 
 def per_shift_kernel_sizes(p):
-    """|ker D_a| = 2^(w - rank) for every a (index 0 unused), from the collapsed form's
-    images D_a(X^i) for every shift, eliminated in int64 rows."""
+    """|ker D_a| = 2^(w - rank) for every a (index 0 unused), from the images
+    D_a(X^i) = B(a, a X^i) for every shift, eliminated in int64 rows."""
     w, ops = p.field.w, p.field.array_ops
-    coeffs = collapsed_coeffs(ops, p, np.arange(1, p.field.size, dtype=np.int64))
-    images = (collapsed_form(ops, p, coeffs, 1 << i) for i in range(w))
+    shifts = np.arange(1, p.field.size, dtype=np.int64)
+    coeffs = bilinear_coeffs(ops, p, shifts)
+    images = (collapsed_form(ops, p, coeffs, ops.mul(shifts, 1 << i)) for i in range(w))
     basis = np.zeros((w, p.field.size - 1), dtype=np.int64)
     for _ in gf2_reduce(images, basis):
         pass

@@ -33,7 +33,7 @@ from apnforge.differential import (
 from apnforge.field import make_field, roots_of_unity
 from apnforge.hexanomial import (
     BCParams,
-    collapsed_coeffs,
+    bilinear_coeffs,
     collapsed_form,
     default_d,
     derivative_form,
@@ -238,14 +238,18 @@ def _identity_failures_sampled(p, rng, samples):
         for _ in range(samples)
     ]
     a, x, z, lam = np.array(draws, dtype=np.int64).T
-    coeffs = collapsed_coeffs(ops, p, a)
-    dx = collapsed_form(ops, p, coeffs, x)
+    coeffs = bilinear_coeffs(ops, p, a)
+
+    def linear(x):  # D_a(x) = B(a, a x)
+        return collapsed_form(ops, p, coeffs, ops.mul(a, x))
+
+    dx = linear(x)
     a_srs = ops.mul(ops.frobenius(a, p.n), ops.frobenius(a, p.m + p.n))
     conj = ops.mul(ops.mul(dd, a_srs), ops.frobenius(x ^ ops.frobenius(x, p.m), p.n))
     bad = {
         "forms": dx != derivative_form(ops, p, a, x),
-        "additivity": collapsed_form(ops, p, coeffs, x ^ z) != dx ^ collapsed_form(ops, p, coeffs, z),
-        "scaling": collapsed_form(ops, p, coeffs, ops.mul(lam, x)) != ops.mul(lam, dx),
+        "additivity": linear(x ^ z) != dx ^ linear(z),
+        "scaling": linear(ops.mul(lam, x)) != ops.mul(lam, dx),
         "conjugate": dx ^ ops.frobenius(dx, p.m) != conj,
     }
     failures = [draws[i] + (tag,) for tag, hits in bad.items() for i in np.flatnonzero(hits)]

@@ -457,6 +457,26 @@ def test_verify_does_not_import_numpy_ma(tmp_path, argv):
     assert proc.stderr.splitlines()[-1] == f"{EXIT_OK} False False", proc.stderr
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--m", "3", "--n", "2"], EXIT_OK),
+    (["verify", "--m", "6", "--n", "2", "--c", "5"], EXIT_CHECK_FAILED),  # kernels of 4 and 64
+    (["verify", "--m", "9", "--n", "1"], EXIT_USAGE),
+    (["verify", "--m", "3", "--n", "2", "--out", "{tmp}"], EXIT_IO),  # a directory
+])
+def test_exit_codes_through_a_real_process(capsys, tmp_path, argv, code):
+    """`python -m apnforge.cli` reaches entrypoint(), whose sys.exit carries main's code
+    to the process, with the stdout main writes in-process."""
+    root = Path(__file__).resolve().parents[1]
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "apnforge.cli", *argv], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == code, proc.stderr
+    assert run(capsys, *argv)[:2] == (code, proc.stdout)
+
+
 def test_witness_json_and_failure_modes(capsys):
     code, out, _ = run(capsys, "witness", "--m", "2", "--n", "1", "--y", "8")
     assert code == EXIT_OK

@@ -284,6 +284,19 @@ def test_search_matches_the_array_scan_up_to_m_8():
             assert rep.consistent
 
 
+def test_every_search_kernel_has_dimension_m():
+    """For y in mu_{r+1} the kernel of c -> c y^s + c^r y is c0 F_r, c0^(r-1) = y^(s-1):
+    after the full feed every column's echelon basis has exactly m rows, at every n of
+    one period 1..2m and every m <= 10, sizes the brute-force oracle cannot reach."""
+    for m in range(1, 11):
+        f = make_field(2 * m)
+        roots = compatibility._unity_roots(f, m)
+        ns = np.arange(1, 2 * m + 1)
+        cosets = compatibility._Cosets(f, m, np.repeat(ns, len(roots)), np.tile(roots, len(ns)))
+        cosets.feed(f.w)
+        assert (np.count_nonzero(cosets.kernel, axis=0) == m).all(), m
+
+
 def test_prefix_cosets_are_the_full_sets_cut_below_the_prefix():
     """Once the images of X^0..X^(k-1) have joined, each column's least c and its kernel
     rows with leading bit < k give exactly the c < 2^k of its full vanishing set: what

@@ -23,7 +23,7 @@ from apnforge.differential import (
 )
 from apnforge.compatibility import compatibility_predicate, find_compatible_c
 from apnforge.field import Field, SizeLimitError, make_field
-from apnforge.hexanomial import BCParams, default_d, eval_derivative_linear, eval_hexanomial
+from apnforge.hexanomial import BCParams, default_d, eval_hexanomial
 
 
 def params(m, n, c, d=None):
@@ -369,23 +369,6 @@ def test_weight_2_check_never_reads_the_array_view(monkeypatch):
     assert np.array_equal(differential._check_table(q, ftab, planes), offsets)
 
 
-def test_spot_check_reads_the_same_derivatives_off_the_table(monkeypatch):
-    """On the spot check's 1000 samples at every w = 2..14, D_a with F read off the
-    certified value table equals D_a from F's formula on the array view."""
-    orig, checked = hexanomial.derivative_form, []
-
-    def both(f, p, a, x, table=None):
-        out = orig(f, p, a, x, table)
-        assert table is not None and np.array_equal(out, orig(f, p, a, x))
-        checked.append((p.field.w, len(a)))
-        return out
-
-    monkeypatch.setattr(hexanomial, "derivative_form", both)
-    for m in range(1, 8):
-        derivative_spectrum(params(m, 1, 3), seed=m)
-    assert checked == [(2 * m, differential.SPOT_CHECK_SAMPLES) for m in range(1, 8)]
-
-
 def test_definition_route_refuses_a_table_off_by_an_affine_map(monkeypatch):
     """F(x) + x is still quadratic; only the weight <= 2 points tie the table to F."""
     p = params(2, 1, 9)
@@ -454,15 +437,22 @@ def test_derivative_spectrum_runs_each_check_once(monkeypatch):
 
 @pytest.mark.parametrize("entry", [is_apn, derivative_spectrum, ddt])
 def test_every_verdict_runs_the_spot_check(monkeypatch, entry):
-    """A wrong defining form fails the spot check in the library's verdict, spectrum and
-    whole-table DDT alike, and the check names the first bad sample: the seeded
-    generator's 64000 bits in one draw, as 32-bit words, a then x, reduced into 1..15 and
-    0..15."""
+    """B's coefficients wrong only at shifts of Hamming weight >= 2 pass the table check,
+    since the kernel route evaluates them at the basis shifts X^j alone; only the spot
+    check sees them, in the library's verdict, spectrum and whole-table DDT alike.  It
+    names the first bad sample: the seeded generator's 64000 bits in one draw, as 32-bit
+    words, a then y, reduced into 1..15 and 0..15; b0 off by 1 moves B(a, y) by y."""
     words = np.frombuffer(random.Random(0).getrandbits(64000).to_bytes(8000, "little"), "<u4")
-    samples = [(int(a) % 15 + 1, int(x) % 16) for a, x in words.reshape(-1, 2)]
-    a, x = next((a, x) for a, x in samples if eval_derivative_linear(APN_21, a, x) != x ^ 1)
-    monkeypatch.setattr(hexanomial, "derivative_form", lambda f, p, a, x, table=None: x ^ 1)
-    with pytest.raises(CrossCheckError, match=f"forms disagree at a={a:#x}, x={x:#x}$"):
+    samples = [(int(a) % 15 + 1, int(y) % 16) for a, y in words.reshape(-1, 2)]
+    a, y = next((a, y) for a, y in samples if a.bit_count() > 1 and y)
+    orig = hexanomial.bilinear_coeffs
+
+    def wrong_above_weight_1(f, p, a):
+        b0, *rest = orig(f, p, a)
+        return (b0 ^ (np.bitwise_count(a) > 1), *rest)
+
+    monkeypatch.setattr(hexanomial, "bilinear_coeffs", wrong_above_weight_1)
+    with pytest.raises(CrossCheckError, match=f"forms disagree at a={a:#x}, y={y:#x}$"):
         entry(APN_21)
 
 
@@ -528,6 +518,15 @@ def test_ddt_cap():
     p = params(7, 1, 0, 2)
     with pytest.raises(SizeLimitError):
         ddt(p)
+
+
+def test_ddt_stream_refuses_w_above_16_before_the_first_block():
+    """The stream's residues are '<u2', so above w = 16 they would lose bits: at (9, 1)
+    row a = 0x17a62 came out with 2^18 nonzero cells summing to 2^19, not 2^17 and 2^18."""
+    spec = derivative_spectrum(params(9, 1, find_compatible_c(9, 1)), 18)
+    for stream in (differential.ddt_blocks, differential.ddt_csv_blocks):
+        with pytest.raises(SizeLimitError, match="DDT stream for w=18 exceeds cap 16"):
+            stream(spec)
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, None])

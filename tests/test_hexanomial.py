@@ -21,7 +21,7 @@ from apnforge.compatibility import (
 from apnforge.field import FieldMismatchError, make_field
 from apnforge.hexanomial import (
     BCParams,
-    collapsed_coeffs,
+    bilinear_coeffs,
     collapsed_form,
     default_d,
     derivative_coeffs,
@@ -289,5 +289,5 @@ def test_forms_agree_sampled_at_cap_degree():
     size = p.field.size
     a, x = np.array([(rng.randrange(1, size), rng.randrange(size)) for _ in range(10_000)]).T
     f = p.field
-    linear = collapsed_form(f, p, collapsed_coeffs(f, p, a), x)
+    linear = collapsed_form(f, p, bilinear_coeffs(f, p, a), f.mul(a, x))  # B(a, a x)
     assert (derivative_form(f, p, a, x) == linear).all()
