@@ -28,6 +28,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
+# apnforge makes no BLAS call, so OpenBLAS's workers would only spin; OpenBLAS reads this at load.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .compatibility import (
     compatibility_predicate,
     eval_compat_poly,

@@ -639,3 +639,17 @@ def test_bad_range_flag(capsys):
     code, _, err = run(capsys, "sweep", "--m-range", "5..2")
     assert code == EXIT_USAGE
     assert "range" in err
+
+
+def test_verify_is_periodic_in_n_with_period_2m(capsys):
+    """n enters F only through x^(2^n) in F_{2^(2m)}, so (m, n) and (m, n + 2m) are one instance:
+    their verify reports agree in everything but params.n."""
+    for m in range(1, 5):
+        for n in range(1, 2 * m + 1):
+            reports = []
+            for n_run in (n, n + 2 * m):
+                code, out, _ = run(capsys, "verify", "--m", str(m), "--n", str(n_run))
+                doc = json.loads(out)
+                assert doc["params"].pop("n") == n_run
+                reports.append((code, doc))
+            assert reports[0] == reports[1], (m, n)
