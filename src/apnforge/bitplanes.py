@@ -1,15 +1,15 @@
 """w-bit vectors at every shift a < 2^w as uint64 bit-planes: bit l of word h
 of plane b is bit b of the vector at shift 64h + l (one word, its high bits 0,
 below w = 6), so one numpy operation acts on 64 shifts per word.  Packing,
-unpacking and ranking take the number of shifts from the last axis, so they act
-on a block of words as on the whole range: w is the bit count only.
+unpacking and elimination take the number of shifts from the last axis, so they
+act on a block of words as on the whole range: w is the bit count only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-ECHELON_WORDS = 256  # words of shifts per elimination chunk: 2^14 shifts, cache-sized temporaries
+ECHELON_WORDS = 256  # words per chunk of the spectrum: 2^14 shifts, cache-sized temporaries
 # mask i: the bits l of a word whose bit i is 0, for flip(planes, i < 6)
 _STAY = np.array(
     [0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
@@ -71,37 +71,32 @@ def flip(planes: np.ndarray, i: int) -> np.ndarray:
     return (planes >> step) & stay | (planes & stay) << step
 
 
-def echelon(vectors: np.ndarray) -> np.ndarray:
-    """Echelon basis planes of the span of w vectors (w, w, words) at every shift:
-    basis[b] leads at bit b, or is 0 where no pivot is, so basis[b, b] masks the pivots.
-    Top-down, the first vector with bit b is XORed into every vector with it, touching
-    only planes <= b, in chunks of ECHELON_WORDS words.  O(w^3 2^w / 64) word ops."""
-    w = len(vectors)
-    basis = np.zeros_like(vectors)
-    for lo in range(0, vectors.shape[-1], ECHELON_WORDS):
-        chunk = slice(lo, lo + ECHELON_WORDS)
-        rows = vectors[..., chunk].copy()
-        for b in reversed(range(w)):
-            column = rows[:, b]
-            first = np.bitwise_or.accumulate(column, axis=0)
-            first[1:] ^= first[:-1]  # the first vector with bit b, at each shift
-            pivot = np.bitwise_or.reduce(rows[:, : b + 1] & first[:, None], axis=0)
-            basis[b, : b + 1, chunk] = pivot
-            rows[:, : b + 1] ^= pivot & column[:, None]
-    return basis
-
-
-def ranks(basis: np.ndarray) -> np.ndarray:
-    """The rank at every shift of the basis's words, uint8: its number of pivots."""
-    w, count = len(basis), _shifts(basis.shape[-1], len(basis))
+def eliminate(rows: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+    """The rank at every shift of w vectors (w, w, words), uint8, by an elimination that
+    consumes rows: top-down, the first vector with bit b is XORed into every vector with
+    it, touching only planes <= b.  A basis of zeros (w, w, words), where given, receives
+    the echelon basis planes: basis[b] leads at bit b, or is 0 where no pivot is.
+    O(w^3 words) word ops; callers pass ECHELON_WORDS words at a time."""
+    w, count = len(rows), _shifts(rows.shape[-1], len(rows))
     rank = np.zeros(count, dtype=np.uint8)
-    for b in range(w):
-        rank += np.unpackbits(basis[b, b].view(np.uint8), count=count, bitorder="little")
+    halves = slice(None, w // 2), slice(w // 2, None)  # temporaries of half a chunk
+    for b in reversed(range(w)):
+        column, low = rows[:, b], rows[:, : b + 1]
+        first = np.bitwise_or.accumulate(column, axis=0)
+        first[1:] ^= first[:-1]  # the first vector with bit b, at each shift
+        pivot = np.zeros_like(low[0])
+        for half in halves:
+            pivot |= np.bitwise_or.reduce(low[half] & first[half, None], axis=0)
+        if basis is not None:
+            basis[b, : b + 1] = pivot
+        for half in halves:
+            low[half] ^= pivot & column[half, None]
+        rank += np.unpackbits(pivot[b].view(np.uint8), count=count, bitorder="little")
     return rank
 
 
 def reduce(vectors: np.ndarray, basis: np.ndarray) -> None:
-    """Reduce (k, w, words) planes in place by the :func:`echelon` basis of each shift,
+    """Reduce (k, w, words) planes in place by the :func:`eliminate` basis of each shift,
     top-down: a vector in its span becomes 0."""
     for b in reversed(range(len(basis))):
         vectors[:, : b + 1] ^= basis[b, : b + 1] & vectors[:, b, None]

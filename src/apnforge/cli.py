@@ -192,8 +192,10 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     p, meta = _resolve_params(args, cfg)
     if args.ddt_out is not None:  # refused before the spectrum's work
         check_degree("ddt", p.field.w, cfg.cap_ddt)
-    # never above w = 16: the routes hold all 2^w shifts at once (145 MiB at w = 20)
-    spec = derivative_spectrum(p, min(cfg.cap_spectrum, SPECTRUM_DEGREE_CAP), cfg.seed)
+    # never above w = 16 until a pre-flight budget prices the larger runs; the basis is
+    # kept only for the DDT stream
+    cap = min(cfg.cap_spectrum, SPECTRUM_DEGREE_CAP)
+    spec = derivative_spectrum(p, cap, cfg.seed, keep_basis=args.ddt_out is not None)
     spot = {"seed": cfg.seed, "samples": SPOT_CHECK_SAMPLES, "agree": True}
     report = {
         **spectrum_report(p, spec), "kind": "verify", "status": "ok", **meta, "spot_check": spot

@@ -334,10 +334,20 @@ def span_kernel_sizes(p):
 def kernel_sizes(p):
     """|ker B(a, .)| = 2^(w - rank) for every a (index 0 unused): the library's kernel
     route on its own, its planes ranked with no value table in sight."""
-    ranks = bitplanes.ranks(bitplanes.echelon(bilinear_planes(p))).astype(np.int64)
+    ranks = bitplanes.eliminate(bilinear_planes(p)).astype(np.int64)
     out = np.left_shift(1, p.field.w - ranks)
     out[0] = 0
     return out
+
+
+def echelon(vectors):
+    """The echelon basis planes of w vectors (w, w, words) at every shift, by the library's
+    elimination on a copy of each chunk of ECHELON_WORDS words: the vectors are kept."""
+    basis = np.zeros_like(vectors)
+    for lo in range(0, vectors.shape[-1], bitplanes.ECHELON_WORDS):
+        chunk = slice(lo, lo + bitplanes.ECHELON_WORDS)
+        bitplanes.eliminate(vectors[..., chunk].copy(), basis[..., chunk])
+    return basis
 
 
 def per_shift_kernel_sizes(p):

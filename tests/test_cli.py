@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from apnforge import bitplanes, cli, compatibility, differential
 from apnforge.cli import (
     EXIT_CHECK_FAILED,
@@ -23,6 +24,7 @@ from apnforge.cli import (
     parse_range,
 )
 from apnforge.differential import CrossCheckError
+from apnforge.hexanomial import BCParams
 
 
 def run(capsys, *argv):
@@ -215,8 +217,8 @@ def test_verify_ddt_export_builds_one_table_and_runs_one_elimination(
 ):
     """The DDT is written from the spectrum verify certified, not counted again from a
     second value table."""
-    calls = {"value_table": 0, "echelon": 0}
-    for module, name in [(differential, "value_table"), (bitplanes, "echelon")]:
+    calls = {"value_table": 0, "eliminate": 0}
+    for module, name in [(differential, "value_table"), (bitplanes, "eliminate")]:
         orig = getattr(module, name)
 
         def counted(*args, _name=name, _orig=orig):
@@ -227,21 +229,42 @@ def test_verify_ddt_export_builds_one_table_and_runs_one_elimination(
     code, _, _ = run(capsys, "verify", "--m", "3", "--n", "2", "--ddt-out",
                      str(tmp_path / "ddt.csv"))
     assert code == EXIT_OK
-    assert calls == {"value_table": 1, "echelon": 1}
+    assert calls == {"value_table": 1, "eliminate": 1}  # w = 6: one chunk
+
+
+def test_verify_ddt_out_above_the_default_cap_keeps_the_basis(capsys, monkeypatch):
+    """--cap-ddt 14 --ddt-out at w = 14 streams the DDT: verify keeps the basis because a
+    DDT was asked for, whatever w.  Only row 0's line and the first block are taken (the
+    whole file would be 512 MiB), and they are the definition's rows."""
+    taken = []
+
+    def first_blocks(path, blocks):
+        blocks = iter(blocks)
+        taken.extend(bytes(next(blocks)) for _ in range(2))
+
+    monkeypatch.setattr(cli, "_write_file", first_blocks)
+    code, out, _ = run(capsys, "verify", "--m", "7", "--n", "2", "--cap-ddt", "14",
+                       "--ddt-out", "ddt.csv")
+    report = json.loads(out)
+    assert code == EXIT_OK and report["verdicts"]["is_apn"]
+    p = BCParams.from_dict(report["params"])
+    rows = 1 + len(taken[1].splitlines())
+    assert rows == differential._DDT_BLOCK_CELLS >> 14
+    assert b"".join(taken) == differential.ddt_to_csv(oracle.ddt_by_definition(p, 0, rows)).encode()
 
 
 def test_verify_ddt_export_refuses_uncertified_images(tmp_path, capsys, monkeypatch):
     """Images the value table contradicts raise before any DDT byte is written."""
-    orig = differential.bilinear_planes
+    orig = differential._chunk_planes
 
-    def swapped(p):  # B(4, X^0) and B(4, X^1) swapped: bit 4 of word 0 of their planes
-        planes = orig(p)
+    def swapped(route, lo, words):  # B(4, X^0) and B(4, X^1) swapped: bit 4 of word 0
+        planes = orig(route, lo, words)
         moved = (planes[0, :, 0] ^ planes[1, :, 0]) & np.uint64(1 << 4)
         planes[0, :, 0] ^= moved
         planes[1, :, 0] ^= moved
         return planes
 
-    monkeypatch.setattr(differential, "bilinear_planes", swapped)
+    monkeypatch.setattr(differential, "_chunk_planes", swapped)
     code, out, err = run(capsys, "verify", "--m", "2", "--n", "1", "--ddt-out",
                          str(tmp_path / "ddt.csv"))
     assert code == EXIT_CHECK_FAILED

@@ -1,6 +1,7 @@
 """Spectrum/DDT verification, including the two-route cross-check."""
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -314,16 +315,18 @@ def test_r_to_one_for_five_canonical_c_when_m_divides_n():
 
 
 def test_cross_check_raises_on_tampered_histogram():
-    bad = derivative_spectrum(APN_21).kernels.copy()
-    bad[3] = 4
-    with pytest.raises(CrossCheckError, match="shift a=0x3"):
-        cross_check_spectrum(APN_21, dataclasses.replace(derivative_spectrum(APN_21), kernels=bad))
+    spec = derivative_spectrum(APN_21)
+    bad = spec.ranks.copy()
+    bad[3] -= 1  # |ker| 4 at a = 3, not 2
+    with pytest.raises(CrossCheckError, match="shift a=0x3: definition route |ker| 4 vs"):
+        cross_check_spectrum(APN_21, dataclasses.replace(spec, ranks=bad))
 
 
 def test_definition_route_refuses_a_non_quadratic_table(monkeypatch):
     """x^7 has algebraic degree 3, and F off by the cubic monomial x0 x1 x2 agrees with F
     at every x of weight <= 2: both are refused instead of a verdict, the second at the
-    first shift where a derivative of the table stops being affine."""
+    least shift where a derivative of the table stops being affine: D_{X^2} of x0 x1 x2
+    is x0 x1, first 1 at a = 3."""
     p = params(4, 1, 0)
     x7 = [p.field.pow(x, 7) for x in range(p.field.size)]
     monkeypatch.setattr(differential, "value_table", lambda p: np.array(x7))
@@ -335,7 +338,7 @@ def test_definition_route_refuses_a_non_quadratic_table(monkeypatch):
     cubic = value_table(p) ^ ((xs & 7) == 7)
     assert oracle.anf_degree(cubic) == 3
     monkeypatch.setattr(differential, "value_table", lambda p: cubic)
-    with pytest.raises(CrossCheckError, match="shift a=0x6, basis X\\^0: "):
+    with pytest.raises(CrossCheckError, match="shift a=0x3, basis X\\^2: "):
         derivative_spectrum(p)
     with pytest.raises(CrossCheckError, match="shift a="):
         is_apn(p)
@@ -359,14 +362,15 @@ def test_table_off_by_one_bit_at_weight_2_names_the_point(monkeypatch, bad, name
 
 
 def test_weight_2_check_never_reads_the_array_view(monkeypatch):
-    """The scalar side of the weight <= 2 check is the scalar Field alone: on a field whose
-    array view is never built, the check still certifies the table."""
+    """The scalar side of the weight <= 2 check is the scalar Field alone, and the table
+    check reads no field at all: with the array view never built, both still certify the
+    table and give the offsets the spectrum keeps."""
     p = params(4, 1, 3)
     ftab, planes = value_table(p), differential.bilinear_planes(p)
-    offsets = derivative_spectrum(p).offsets
+    offsets = derivative_spectrum(p, keep_basis=True).offsets
     monkeypatch.setattr(Field, "array_ops", property(lambda f: pytest.fail("read the array view")))
-    q = dataclasses.replace(p, field=Field(8))
-    assert np.array_equal(differential._check_table(q, ftab, planes), offsets)
+    differential._check_weight_2(dataclasses.replace(p, field=Field(8)), ftab)
+    assert np.array_equal(differential._check_chunk(ftab, planes, 0), offsets)
 
 
 def test_definition_route_refuses_a_table_off_by_an_affine_map(monkeypatch):
@@ -381,10 +385,10 @@ def test_definition_route_refuses_a_table_off_by_an_affine_map(monkeypatch):
 
 
 def test_is_apn_raises_when_kernel_route_disagrees(monkeypatch):
-    def all_ones(p):
-        return np.full((p.field.w, p.field.w, 1), np.iinfo(np.uint64).max, dtype=np.uint64)
+    def all_ones(route, lo, words):
+        return np.full((4, 4, words), np.iinfo(np.uint64).max, dtype=np.uint64)
 
-    monkeypatch.setattr(differential, "bilinear_planes", all_ones)
+    monkeypatch.setattr(differential, "_chunk_planes", all_ones)
     with pytest.raises(
         CrossCheckError, match="shift a=0x0, basis X\\^0: value table 0x0 vs kernel route 0xf$"
     ):
@@ -402,37 +406,62 @@ def swap_images_at_shift_4(planes):
 def test_a_rank_preserving_image_swap_is_refused(monkeypatch):
     """Swapping two of the kernel route's images at one shift keeps every rank, so
     comparing the routes' kernel sizes misses it; comparing their images does not."""
-    orig = differential.bilinear_planes
+    orig = differential._chunk_planes
 
-    def swapped(p):
-        return swap_images_at_shift_4(orig(p))
+    def swapped(route, lo, words):
+        planes = orig(route, lo, words)
+        return swap_images_at_shift_4(planes) if lo == 0 else planes
 
-    images = bitplanes.unpack(swapped(APN_21))
-    reference = bitplanes.unpack(orig(APN_21))
+    planes = swap_images_at_shift_4(differential.bilinear_planes(APN_21))
+    images = bitplanes.unpack(planes)
+    reference = bitplanes.unpack(differential.bilinear_planes(APN_21))
     assert images[:, 4].tolist() == reference[[1, 0, 2, 3], 4].tolist()
     assert np.array_equal(np.delete(images, 4, axis=1), np.delete(reference, 4, axis=1))
-    ranks = differential._kernels(bitplanes.echelon(swapped(APN_21)))
-    assert (ranks == oracle.kernel_sizes(APN_21)).all()
-    monkeypatch.setattr(differential, "bilinear_planes", swapped)
+    kernels = DerivativeSpectrum(bitplanes.eliminate(planes)).kernels
+    assert (kernels == oracle.kernel_sizes(APN_21)).all()
+    monkeypatch.setattr(differential, "_chunk_planes", swapped)
     with pytest.raises(CrossCheckError, match="shift a=0x4, basis X\\^0: "):
         is_apn(APN_21)
 
 
-def test_derivative_spectrum_runs_each_check_once(monkeypatch):
-    """One call is the whole check: one value table, one spot check, one elimination,
-    and no second route ranked for comparison."""
-    calls = dict.fromkeys(["value_table", "_spot_check", "echelon", "cross_check_spectrum"], 0)
+@pytest.mark.parametrize("chunk_words", [1, 2, 256])
+def test_derivative_spectrum_runs_each_check_once(monkeypatch, chunk_words):
+    """One call is the whole check: one value table, one spot check, no second route
+    ranked for comparison, and each shift built, checked and eliminated once, in chunks
+    of chunk_words words (all 4 words of w = 8 at once at the default)."""
+    calls = dict.fromkeys(["value_table", "_spot_check", "cross_check_spectrum"], 0)
     for name in calls:
-        module = bitplanes if name == "echelon" else differential
-        orig = getattr(module, name)
+        orig = getattr(differential, name)
 
         def counted(*args, _name=name, _orig=orig):
             calls[_name] += 1
             return _orig(*args)
 
-        monkeypatch.setattr(module, name, counted)
-    derivative_spectrum(params(3, 2, 3))
-    assert calls == {"value_table": 1, "_spot_check": 1, "echelon": 1, "cross_check_spectrum": 0}
+        monkeypatch.setattr(differential, name, counted)
+    built, checked, eliminated = [], [], []
+    orig_build, orig_check = differential._chunk_planes, differential._check_chunk
+    orig_eliminate = bitplanes.eliminate
+
+    def build(route, lo, words):
+        built.extend(range(lo, lo + words))
+        return orig_build(route, lo, words)
+
+    def check(ftab, planes, lo):
+        checked.extend(range(lo, lo + planes.shape[-1]))
+        return orig_check(ftab, planes, lo)
+
+    def eliminate(rows, basis=None):
+        eliminated.append(rows.shape[-1])
+        return orig_eliminate(rows, basis)
+
+    monkeypatch.setattr(differential, "_chunk_planes", build)
+    monkeypatch.setattr(differential, "_check_chunk", check)
+    monkeypatch.setattr(bitplanes, "eliminate", eliminate)
+    monkeypatch.setattr(bitplanes, "ECHELON_WORDS", chunk_words)
+    derivative_spectrum(params(4, 1, 3))
+    assert calls == {"value_table": 1, "_spot_check": 1, "cross_check_spectrum": 0}
+    assert built == checked == list(range(4))
+    assert eliminated == [min(chunk_words, 4)] * (4 // min(chunk_words, 4))
 
 
 @pytest.mark.parametrize("entry", [is_apn, derivative_spectrum, ddt])
@@ -529,6 +558,44 @@ def test_ddt_stream_refuses_w_above_16_before_the_first_block():
             stream(spec)
 
 
+def test_a_ddt_above_the_default_cap_streams_from_a_spectrum_kept_for_it(monkeypatch):
+    """At w = 14, above the DDT cap's default of 12, a spectrum kept for a DDT streams one:
+    its first block is the definition's rows.  A spectrum taken for a verdict holds no
+    basis, and either stream refuses it when called, before its first block; asking for
+    a basis above the stream's degree 16 is refused before any work."""
+    p = params(7, 2, find_compatible_c(7, 2))
+    first = next(differential.ddt_blocks(derivative_spectrum(p, keep_basis=True)))
+    assert len(first) == differential._DDT_BLOCK_CELLS >> 14
+    assert (first == oracle.ddt_by_definition(p, 0, len(first))).all()
+    spec = derivative_spectrum(p)
+    assert spec.basis is None and spec.offsets is None
+    for stream in (differential.ddt_blocks, differential.ddt_csv_blocks):
+        with pytest.raises(ValueError, match="spectrum without its basis: take it with keep_basis"):
+            stream(spec)
+    monkeypatch.setattr(differential, "value_table", lambda p: pytest.fail("did work"))
+    with pytest.raises(SizeLimitError, match="DDT stream for w=18 exceeds cap 16"):
+        derivative_spectrum(params(9, 1, 0), 18, keep_basis=True)
+
+
+def test_a_verdict_at_w18_in_16_chunks_is_pinned(monkeypatch):
+    """(9, 1) with its searched c and the default d at w = 18: 16 chunks of 2^14 shifts,
+    and the report's bytes as before chunks (sha256 of its indented JSON)."""
+    p = params(9, 1, find_compatible_c(9, 1))
+    chunks = []
+    orig = differential._chunk_planes
+
+    def counted(route, lo, words):
+        chunks.append(lo)
+        return orig(route, lo, words)
+
+    monkeypatch.setattr(differential, "_chunk_planes", counted)
+    text = json.dumps(spectrum_report(p, derivative_spectrum(p, 18)), indent=2)
+    assert chunks == list(range(0, 1 << 12, 256))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "adb57c7aaa872977cca5340ae6a27a8e424bbb0d0cef0c9eb2f4db8f4f527bf1"
+    )
+
+
 @pytest.mark.parametrize("block_rows", [1, 3, None])
 def test_ddt_blocks_match_the_definition(monkeypatch, block_rows):
     """delta(a, b) = #{x : F(x + a) + F(x) = b} counted point by point on the oracle's F,
@@ -542,7 +609,7 @@ def test_ddt_blocks_match_the_definition(monkeypatch, block_rows):
             expected[a, f[x ^ a] ^ f[x]] += 1
     if block_rows is not None:
         monkeypatch.setattr(differential, "_DDT_BLOCK_CELLS", block_rows * size)
-    blocks = list(differential.ddt_blocks(derivative_spectrum(p)))
+    blocks = list(differential.ddt_blocks(derivative_spectrum(p, keep_basis=True)))
     assert all(b.dtype == np.int32 for b in blocks)
     if block_rows is not None:
         assert [len(b) for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
@@ -577,8 +644,8 @@ def test_plane_elimination_matches_gf2_reduce(m, n, c):
     images = oracle.bilinear_images(p)
     planes = differential.bilinear_planes(p)
     assert np.array_equal(bitplanes.unpack(planes), images)
-    basis_planes = bitplanes.echelon(planes)
-    kernels = differential._kernels(basis_planes)
+    basis_planes = oracle.echelon(planes)
+    kernels = DerivativeSpectrum(bitplanes.eliminate(planes)).kernels
     reference_kernels, reference = oracle.eliminate(images)
     assert np.array_equal(kernels, reference_kernels)
     basis = bitplanes.unpack(basis_planes).astype(np.int64)
@@ -593,14 +660,106 @@ def test_plane_elimination_matches_gf2_reduce(m, n, c):
     assert np.array_equal(bitplanes.unpack(residues), expected)
 
 
-@pytest.mark.parametrize("chunk_words", [1, 3])
+CHUNK_GRID = [
+    (6, 2, 5),  # kernel sizes 4 and 64 mixed
+    (6, 3, 0),  # gcd 3: every kernel of size 8
+    (5, 1, None),  # APN
+]
+
+
+def table_images(table):
+    """images[i, a] = table(a + X^i) + table(a) + table(X^i) + table(0), (w, 2^w)."""
+    shifts, basis = np.arange(len(table)), 1 << np.arange(len(table).bit_length() - 1)[:, None]
+    return table[shifts ^ basis] ^ table[shifts] ^ table[basis] ^ table[0]
+
+
+def first_disagreement(table_side, route_side):
+    """(a, i, both values) at the least shift a where two (w, 2^w) image arrays differ,
+    and there the least basis index i: what the table check must name."""
+    a = int(np.flatnonzero((table_side != route_side).any(axis=0))[0])
+    i = int(np.flatnonzero(table_side[:, a] != route_side[:, a])[0])
+    return a, i, int(table_side[i, a]), int(route_side[i, a])
+
+
+def table_check_message(a, i, table_value, route_value):
+    return (
+        f"^shift a={a:#x}, basis X\\^{i}:"
+        f" value table {table_value:#x} vs kernel route {route_value:#x}$"
+    )
+
+
+@pytest.mark.parametrize("chunk_words", [1, 2, 3, 4])
 def test_plane_elimination_in_chunks_of_a_few_words(monkeypatch, chunk_words):
-    """Chunks of 64 or 192 shifts, whose edges fall inside the range, leave the basis of
-    one whole chunk: the elimination is shift by shift."""
-    planes = differential.bilinear_planes(params(6, 2, 5))  # kernel sizes 4 and 64
-    whole = bitplanes.echelon(planes)
+    """Chunks of 1-4 words, whose edges fall inside the range, leave the basis of one
+    whole chunk: the elimination is shift by shift.  The spectrum runs in chunks of the
+    largest power of two of at most as many words (3 -> 2): each chunk's planes are the
+    whole range's words, and the ranks, basis and D_a(0) planes equal those of one chunk
+    of all 64 words at w <= 12, on mixed kernels, gcd 3 and an APN instance."""
+    planes = differential.bilinear_planes(params(6, 2, 5))
+    whole = oracle.echelon(planes)
+    grid = [params(m, n, find_compatible_c(m, n) if c is None else c) for m, n, c in CHUNK_GRID]
+    spectra = [derivative_spectrum(p, keep_basis=True) for p in grid]
     monkeypatch.setattr(bitplanes, "ECHELON_WORDS", chunk_words)
-    assert np.array_equal(bitplanes.echelon(planes), whole)
+    assert np.array_equal(oracle.echelon(planes), whole)
+    step = 1 << chunk_words.bit_length() - 1
+    for p, spec in zip(grid, spectra):
+        route, all_planes = differential._kernel_route(p), differential.bilinear_planes(p)
+        for lo in range(0, all_planes.shape[-1], step):
+            chunk = differential._chunk_planes(route, lo, step)
+            assert np.array_equal(chunk, all_planes[..., lo : lo + step]), lo
+        chunked = derivative_spectrum(p, keep_basis=True)
+        assert np.array_equal(chunked.ranks, spec.ranks), p.to_dict()
+        assert np.array_equal(chunked.basis, spec.basis), p.to_dict()
+        assert np.array_equal(chunked.offsets, spec.offsets), p.to_dict()
+        verdict_only = derivative_spectrum(p)
+        assert np.array_equal(verdict_only.ranks, spec.ranks)
+        assert verdict_only.basis is None and verdict_only.offsets is None
+        assert np.array_equal(spec.kernels, oracle.eliminate(oracle.bilinear_images(p))[0])
+
+
+@pytest.mark.parametrize("chunk_words", [1, 2, 4])
+def test_a_table_fault_planted_in_the_last_chunk_is_named(monkeypatch, chunk_words):
+    """One wrong bit of F at x = 0xffd, in the last chunk and of weight 11 (so past the
+    weight <= 2 check), is refused with the least shift it spoils, x + X^11, found in
+    the first half through the last chunk's partner block, with its basis index and both
+    values: never a verdict."""
+    p = params(6, 2, 5)
+    orig = differential.value_table
+
+    def planted(p):
+        table = orig(p)
+        table[0xFFD] ^= 1 << 3
+        return table
+
+    named = first_disagreement(table_images(planted(p)), oracle.bilinear_images(p))
+    assert named[:2] == (0x7FD, 11)
+    monkeypatch.setattr(differential, "value_table", planted)
+    monkeypatch.setattr(bitplanes, "ECHELON_WORDS", chunk_words)
+    with pytest.raises(CrossCheckError, match=table_check_message(*named)):
+        derivative_spectrum(p)
+
+
+@pytest.mark.parametrize("chunk_words", [1, 2, 4])
+def test_a_chunk_built_from_the_wrong_word_is_named(monkeypatch, chunk_words):
+    """A chunk builder that starts the last chunk from the previous chunk's first word,
+    so from the wrong word's high-bit planes, is refused at the least shift of that chunk
+    whose images change, with its basis index and both values: never a verdict."""
+    p = params(6, 2, 5)
+    last = (p.field.size >> 6) - chunk_words
+    orig = differential._chunk_planes
+
+    def wrong_word(route, lo, words):
+        return orig(route, lo - words if lo == last else lo, words)
+
+    images = oracle.bilinear_images(p)
+    shifts = np.arange(p.field.size)
+    built = images[:, np.where(shifts >= last << 6, shifts - (chunk_words << 6), shifts)]
+    named = first_disagreement(images, built)
+    assert named[0] >> 6 >= last
+    monkeypatch.setattr(differential, "_chunk_planes", wrong_word)
+    monkeypatch.setattr(bitplanes, "ECHELON_WORDS", chunk_words)
+    with pytest.raises(CrossCheckError, match=table_check_message(*named)):
+        derivative_spectrum(p)
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, None])
@@ -613,7 +772,7 @@ def test_ddt_stream_matches_the_count_by_definition(monkeypatch, block_rows, m, 
     if block_rows is not None:
         monkeypatch.setattr(differential, "_DDT_BLOCK_CELLS", block_rows * size)
     lo = 0
-    for block in differential.ddt_blocks(derivative_spectrum(p)):
+    for block in differential.ddt_blocks(derivative_spectrum(p, keep_basis=True)):
         assert block.dtype == np.int32
         assert block_rows is None or len(block) == min(block_rows, size - lo)
         assert (block == oracle.ddt_by_definition(p, lo, lo + len(block))).all(), lo
@@ -633,7 +792,8 @@ def test_ddt_csv_stream_matches_the_csv_of_the_count_by_definition(
     size = p.field.size
     if block_rows is not None:
         monkeypatch.setattr(differential, "_DDT_BLOCK_CELLS", block_rows * size)
-    chunks = [bytes(b) for b in differential.ddt_csv_blocks(derivative_spectrum(p))]
+    spec = derivative_spectrum(p, keep_basis=True)
+    chunks = [bytes(b) for b in differential.ddt_csv_blocks(spec)]
     assert b"".join(chunks) == ddt_to_csv(oracle.ddt_by_definition(p, 0, size)).encode()
     assert chunks[0] == b"%d" % size + b",0" * (size - 1) + b"\n"
     if block_rows == 1:
@@ -646,7 +806,7 @@ def test_ddt_csv_stream_at_w12_comes_in_blocks_of_the_budgeted_rows():
     p = params(6, 1, find_compatible_c(6, 1))
     rows = differential._DDT_BLOCK_CELLS // p.field.size
     assert rows == 64
-    chunks = differential.ddt_csv_blocks(derivative_spectrum(p))
+    chunks = differential.ddt_csv_blocks(derivative_spectrum(p, keep_basis=True))
     lines = [bytes(chunk).count(b"\n") for chunk in chunks]
     assert lines[:2] == [1, rows - 1]
     assert set(lines[2:-1]) == {rows} and 0 < lines[-1] <= rows
